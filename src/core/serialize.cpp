@@ -1,11 +1,16 @@
 #include "squid/core/serialize.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <charconv>
+#include <concepts>
 #include <cstdint>
 #include <istream>
 #include <memory>
 #include <ostream>
-#include <streambuf>
+#include <stdexcept>
+#include <string>
+#include <string_view>
 #include <tuple>
 #include <utility>
 
@@ -15,9 +20,106 @@ namespace squid::core {
 
 namespace {
 
-constexpr const char* kMagic = "SQUID-SNAPSHOT-1";
+constexpr std::string_view kMagic = "SQUID-SNAPSHOT-1";
 
-void write_string(std::ostream& out, const std::string& s) {
+// --- Sinks -------------------------------------------------------------------
+// Every writer below is a template over its sink and runs over one of two:
+// AppendSink produces the bytes, CountSink only measures them. Both render
+// integers as decimal text — CountSink by counting digits, never by
+// formatting — so a frame's size and its bytes come from the same writer.
+
+/// Field-level `<<` shared by both sinks: chars and strings go out
+/// verbatim, integers in decimal. A sink supplies raw(char),
+/// raw(string_view), digits(std::uint64_t) and digits(u128).
+template <class Sink> class Fields {
+public:
+  Sink& operator<<(char c) {
+    self().raw(c);
+    return self();
+  }
+  Sink& operator<<(std::string_view s) {
+    self().raw(s);
+    return self();
+  }
+  Sink& operator<<(u128 v) {
+    self().digits(v);
+    return self();
+  }
+  template <std::integral T>
+    requires(!std::same_as<T, u128>)
+  Sink& operator<<(T v) {
+    static_assert(!std::same_as<T, bool> && sizeof(T) > 1 && sizeof(T) <= 8,
+                  "write flags as 0/1 ints and characters as char");
+    if constexpr (std::signed_integral<T>) {
+      if (v < 0) {
+        self().raw('-');
+        self().digits(0 - static_cast<std::uint64_t>(v));
+        return self();
+      }
+    }
+    self().digits(static_cast<std::uint64_t>(v));
+    return self();
+  }
+
+private:
+  Sink& self() { return static_cast<Sink&>(*this); }
+};
+
+/// Appends the encoded bytes to a string.
+class AppendSink : public Fields<AppendSink> {
+public:
+  explicit AppendSink(std::string& out) noexcept : out_(out) {}
+  void raw(char c) { out_.push_back(c); }
+  void raw(std::string_view s) { out_.append(s); }
+  void digits(std::uint64_t v) {
+    char buf[20];
+    out_.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+  }
+  void digits(u128 v) {
+    char buf[kMaxDecimalDigits];
+    out_.append(buf, format_decimal(v, buf));
+  }
+
+private:
+  std::string& out_;
+};
+
+/// Adds up the lengths the AppendSink would have written.
+class CountSink : public Fields<CountSink> {
+public:
+  void raw(char) noexcept { ++bytes_; }
+  void raw(std::string_view s) noexcept { bytes_ += s.size(); }
+  void digits(std::uint64_t v) noexcept { bytes_ += decimal_digits(v); }
+  void digits(u128 v) noexcept { bytes_ += decimal_digits(v); }
+  std::size_t bytes() const noexcept { return bytes_; }
+
+private:
+  std::size_t bytes_ = 0;
+};
+
+// --- Hostile-input guards ----------------------------------------------------
+// Counts and lengths come off the wire, so none of them may size an
+// allocation up front: a lying count must fail at the first missing item
+// and a lying string length at the end of the input, not in the allocator.
+
+constexpr std::size_t kMaxReserve = 1024;
+constexpr std::size_t kStringChunk = std::size_t{1} << 16;
+
+std::size_t reserve_hint(std::size_t count) {
+  return std::min(count, kMaxReserve);
+}
+
+/// parse_u128, with overflow reported like every other malformed field
+/// (parse_u128 alone throws std::out_of_range for it).
+u128 parse_id(const std::string& text, const char* what) {
+  try {
+    return parse_u128(text);
+  } catch (const std::out_of_range&) {
+    throw std::invalid_argument(what);
+  }
+}
+
+template <class Sink> void write_string(Sink& out, std::string_view s) {
   out << s.size() << ':' << s;
 }
 
@@ -26,9 +128,14 @@ std::string read_string(std::istream& in) {
   char colon = 0;
   in >> length >> colon;
   SQUID_REQUIRE(in && colon == ':', "snapshot: malformed string header");
-  std::string s(length, '\0');
-  in.read(s.data(), static_cast<std::streamsize>(length));
-  SQUID_REQUIRE(in, "snapshot: truncated string");
+  std::string s;
+  while (s.size() < length) {
+    const std::size_t at = s.size();
+    const std::size_t n = std::min(length - at, kStringChunk);
+    s.resize(at + n);
+    in.read(s.data() + at, static_cast<std::streamsize>(n));
+    SQUID_REQUIRE(in, "snapshot: truncated string");
+  }
   return s;
 }
 
@@ -37,17 +144,23 @@ std::string read_string(std::istream& in) {
 // u128 ids, length-prefixed strings. Every read is checked so truncated
 // input throws instead of yielding a half-built message.
 
-constexpr const char* kMsgMagic = "SQUID-MSG-1";
+constexpr std::string_view kMsgMagic = "SQUID-MSG-1";
+
+/// The frame's first line: magic and type tag.
+template <class Sink> void write_tag(Sink& out, std::string_view type) {
+  out << kMsgMagic << ' ' << type << '\n';
+}
 
 u128 read_id(std::istream& in) {
   std::string text;
   in >> text;
   SQUID_REQUIRE(in && !text.empty(), "message: truncated id");
-  return parse_u128(text);
+  return parse_id(text, "message: id out of range");
 }
 
-void write_cluster(std::ostream& out, const sfc::ClusterNode& cluster) {
-  out << to_string(cluster.prefix) << ' ' << cluster.level;
+template <class Sink>
+void write_cluster(Sink& out, const sfc::ClusterNode& cluster) {
+  out << cluster.prefix << ' ' << cluster.level;
 }
 
 sfc::ClusterNode read_cluster(std::istream& in) {
@@ -58,7 +171,8 @@ sfc::ClusterNode read_cluster(std::istream& in) {
   return {prefix, level};
 }
 
-void write_batch(std::ostream& out, const msg::AggregateBatch& batch) {
+template <class Sink>
+void write_batch(Sink& out, const msg::AggregateBatch& batch) {
   out << batch.clusters.size();
   for (const auto& cluster : batch.clusters) {
     out << ' ';
@@ -71,7 +185,7 @@ msg::AggregateBatch read_batch(std::istream& in) {
   in >> count;
   SQUID_REQUIRE(in, "message: truncated batch");
   msg::AggregateBatch batch;
-  batch.clusters.reserve(count);
+  batch.clusters.reserve(reserve_hint(count));
   for (std::size_t i = 0; i < count; ++i)
     batch.clusters.push_back(read_cluster(in));
   return batch;
@@ -90,7 +204,8 @@ double token_double(std::istream& in, const char* what) {
   return std::bit_cast<double>(bits);
 }
 
-void write_element(std::ostream& out, const DataElement& element) {
+template <class Sink>
+void write_element(Sink& out, const DataElement& element) {
   write_string(out, element.name);
   out << ' ' << element.keys.size();
   for (const auto& token : element.keys) {
@@ -101,6 +216,14 @@ void write_element(std::ostream& out, const DataElement& element) {
       out << " n" << token_bits(std::get<double>(token));
     }
   }
+}
+
+/// One element as a line of its own: a Reply payload line, a snapshot
+/// element line.
+template <class Sink>
+void write_element_line(Sink& out, const DataElement& element) {
+  write_element(out, element);
+  out << '\n';
 }
 
 DataElement read_element(std::istream& in) {
@@ -147,7 +270,7 @@ double bits_double(std::istream& in, const char* what) {
   return std::bit_cast<double>(bits);
 }
 
-void write_spec(std::ostream& out, const AggregateSpec& spec) {
+template <class Sink> void write_spec(Sink& out, const AggregateSpec& spec) {
   out << static_cast<unsigned>(spec.kind) << ' ' << spec.dim << ' ' << spec.k
       << ' ' << (spec.largest ? 1 : 0);
 }
@@ -165,7 +288,8 @@ AggregateSpec read_spec(std::istream& in) {
   return spec;
 }
 
-void write_partial(std::ostream& out, const AggregatePartial& partial) {
+template <class Sink>
+void write_partial(Sink& out, const AggregatePartial& partial) {
   write_spec(out, partial.spec);
   out << ' ' << partial.count;
   const auto& limbs = partial.sum.limbs();
@@ -216,7 +340,7 @@ AggregatePartial read_partial(std::istream& in) {
   std::size_t group_count = 0;
   in >> group_count;
   SQUID_REQUIRE(in, "message: truncated partial group count");
-  partial.groups.reserve(group_count);
+  partial.groups.reserve(reserve_hint(group_count));
   for (std::size_t i = 0; i < group_count; ++i) {
     GroupCount group;
     group.key = read_string(in);
@@ -229,7 +353,7 @@ AggregatePartial read_partial(std::istream& in) {
   std::size_t top_count = 0;
   in >> top_count;
   SQUID_REQUIRE(in, "message: truncated partial top count");
-  partial.top.reserve(top_count);
+  partial.top.reserve(reserve_hint(top_count));
   for (std::size_t i = 0; i < top_count; ++i) {
     TopEntry entry;
     entry.value = bits_double(in, "message: truncated top entry value");
@@ -243,105 +367,91 @@ AggregatePartial read_partial(std::istream& in) {
   return partial;
 }
 
-/// Reply frame body shared by save_message and reply_wire_size; the element
-/// count is a parameter so accounting frames can be sized without copying
-/// the elements they would carry.
-void write_reply_header(std::ostream& out, const msg::Reply& reply,
-                        std::size_t element_count) {
-  out << reply.query << ' ' << to_string(reply.from) << ' '
-      << to_string(reply.to) << ' ' << (reply.complete ? 1 : 0) << ' '
-      << reply.count << ' ' << element_count << ' '
-      << (reply.aggregate ? 1 : 0);
-  if (reply.aggregate) {
+/// Everything a Reply frame carries ahead of its element lines. The element
+/// count stands alone so accounting frames can be sized without the
+/// elements they would carry.
+struct ReplyHeader {
+  std::uint64_t query = 0;
+  overlay::NodeId from = 0;
+  overlay::NodeId to = 0;
+  bool complete = true;
+  std::uint64_t count = 0;
+  std::size_t elements = 0;
+  const AggregatePartial* aggregate = nullptr;
+};
+
+template <class Sink>
+void write_reply_header(Sink& out, const ReplyHeader& reply) {
+  out << reply.query << ' ' << reply.from << ' ' << reply.to << ' '
+      << (reply.complete ? 1 : 0) << ' ' << reply.count << ' '
+      << reply.elements << ' ' << (reply.aggregate != nullptr ? 1 : 0);
+  if (reply.aggregate != nullptr) {
     out << ' ';
     write_partial(out, *reply.aggregate);
   }
   out << '\n';
 }
 
-/// Output streambuf that only counts. tellp works on it (seekoff answers
-/// the (0, cur) probe), which keeps save_message's size computation from
-/// recursing into wire_size.
-class CountingBuf final : public std::streambuf {
-public:
-  std::size_t count() const noexcept { return count_; }
-  void reset() noexcept { count_ = 0; }
+/// Publish and retract share one layout: `seq origin to element event span`.
+template <class Sink>
+void write_update(Sink& out, std::uint64_t seq, overlay::NodeId origin,
+                  overlay::NodeId to,
+                  const DataElement& element, std::int32_t event,
+                  std::int32_t span) {
+  out << seq << ' ' << origin << ' ' << to << ' ';
+  write_element(out, element);
+  out << ' ' << event << ' ' << span << '\n';
+}
 
-protected:
-  int_type overflow(int_type ch) override {
-    if (!traits_type::eq_int_type(ch, traits_type::eof())) ++count_;
-    return ch;
+template <class Sink> struct Writer {
+  Sink& out;
+  void operator()(const msg::ResolveRequest& r) const {
+    out << r.query << ' ' << r.at << ' ';
+    write_batch(out, r.clusters);
+    out << ' ' << r.event << ' ' << r.span << '\n';
   }
-  std::streamsize xsputn(const char*, std::streamsize n) override {
-    count_ += static_cast<std::size_t>(n);
-    return n;
+  void operator()(const msg::ClusterDispatch& d) const {
+    out << d.query << ' ' << d.from << ' ' << d.to << ' ';
+    write_cluster(out, d.head);
+    out << ' ';
+    write_batch(out, d.batch);
+    out << ' ' << d.event << ' ' << d.span << '\n';
   }
-  pos_type seekoff(off_type off, std::ios_base::seekdir dir,
-                   std::ios_base::openmode) override {
-    if (off == 0 && dir == std::ios_base::cur)
-      return pos_type(static_cast<std::streamoff>(count_));
-    return pos_type(off_type(-1));
+  void operator()(const msg::ScanRequest& s) const {
+    out << s.query << ' ' << s.at << ' ' << s.segment.lo << ' '
+        << s.segment.hi << ' ' << (s.covered ? 1 : 0) << ' ';
+    write_spec(out, s.agg);
+    out << ' ' << s.slot << ' ' << s.event << ' ' << s.span << ' '
+        << s.replica << '\n';
   }
-
-private:
-  std::size_t count_ = 0;
+  void operator()(const msg::Reply& r) const {
+    write_reply_header(out, ReplyHeader{r.query, r.from, r.to, r.complete,
+                                        r.count, r.elements.size(),
+                                        r.aggregate.get()});
+    for (const auto& element : r.elements) write_element_line(out, element);
+  }
+  void operator()(const msg::PublishRequest& p) const {
+    write_update(out, p.seq, p.origin, p.to, p.element, p.event, p.span);
+  }
+  void operator()(const msg::RetractRequest& r) const {
+    write_update(out, r.seq, r.origin, r.to, r.element, r.event, r.span);
+  }
 };
+
+template <class Sink>
+void write_message(Sink& out, const msg::Message& message) {
+  write_tag(out, msg::type_name(message));
+  std::visit(Writer<Sink>{out}, message);
+}
 
 } // namespace
 
 std::size_t save_message(const msg::Message& message, std::ostream& out) {
-  const std::streampos start = out.tellp();
-  out << kMsgMagic << ' ' << msg::type_name(message) << '\n';
-  struct Writer {
-    std::ostream& out;
-    void operator()(const msg::ResolveRequest& r) const {
-      out << r.query << ' ' << to_string(r.at) << ' ';
-      write_batch(out, r.clusters);
-      out << ' ' << r.event << ' ' << r.span << '\n';
-    }
-    void operator()(const msg::ClusterDispatch& d) const {
-      out << d.query << ' ' << to_string(d.from) << ' ' << to_string(d.to)
-          << ' ';
-      write_cluster(out, d.head);
-      out << ' ';
-      write_batch(out, d.batch);
-      out << ' ' << d.event << ' ' << d.span << '\n';
-    }
-    void operator()(const msg::ScanRequest& s) const {
-      out << s.query << ' ' << to_string(s.at) << ' '
-          << to_string(s.segment.lo) << ' ' << to_string(s.segment.hi) << ' '
-          << (s.covered ? 1 : 0) << ' ';
-      write_spec(out, s.agg);
-      out << ' ' << s.slot << ' ' << s.event << ' ' << s.span << ' '
-          << s.replica << '\n';
-    }
-    void operator()(const msg::Reply& r) const {
-      write_reply_header(out, r, r.elements.size());
-      for (const auto& element : r.elements) {
-        write_element(out, element);
-        out << '\n';
-      }
-    }
-    void operator()(const msg::PublishRequest& p) const {
-      out << p.seq << ' ' << to_string(p.origin) << ' ' << to_string(p.to)
-          << ' ';
-      write_element(out, p.element);
-      out << ' ' << p.event << ' ' << p.span << '\n';
-    }
-    void operator()(const msg::RetractRequest& r) const {
-      out << r.seq << ' ' << to_string(r.origin) << ' ' << to_string(r.to)
-          << ' ';
-      write_element(out, r.element);
-      out << ' ' << r.event << ' ' << r.span << '\n';
-    }
-  };
-  std::visit(Writer{out}, message);
-  if (start != std::streampos(-1)) {
-    const std::streampos end = out.tellp();
-    if (end != std::streampos(-1))
-      return static_cast<std::size_t>(end - start);
-  }
-  return wire_size(message); // `out` cannot report positions; measure apart
+  std::string frame;
+  AppendSink sink(frame);
+  write_message(sink, message);
+  out.write(frame.data(), static_cast<std::streamsize>(frame.size()));
+  return frame.size();
 }
 
 msg::Message load_message(std::istream& in, std::size_t* bytes_read) {
@@ -399,7 +509,7 @@ msg::Message load_message(std::istream& in, std::size_t* bytes_read) {
     r.complete = complete != 0;
     if (has_aggregate != 0)
       r.aggregate = std::make_shared<const AggregatePartial>(read_partial(in));
-    r.elements.reserve(element_count);
+    r.elements.reserve(reserve_hint(element_count));
     for (std::size_t i = 0; i < element_count; ++i)
       r.elements.push_back(read_element(in));
     message = std::move(r);
@@ -448,57 +558,54 @@ msg::Message load_message(std::istream& in, std::size_t* bytes_read) {
 }
 
 std::size_t wire_size(const msg::Message& message) {
-  CountingBuf buf;
-  std::ostream out(&buf);
-  save_message(message, out);
-  return buf.count();
+  CountSink sink;
+  write_message(sink, message);
+  return sink.bytes();
 }
 
 std::size_t element_wire_size(const DataElement& element) {
-  thread_local CountingBuf buf;
-  thread_local std::ostream out(&buf);
-  buf.reset();
-  write_element(out, element);
-  return buf.count() + 1; // trailing newline
+  CountSink sink;
+  write_element_line(sink, element);
+  return sink.bytes();
 }
 
 std::size_t reply_wire_size(overlay::NodeId from, overlay::NodeId to,
                             std::uint64_t count, std::size_t elements,
                             std::size_t payload_bytes,
                             const AggregatePartial* aggregate) {
-  CountingBuf buf;
-  std::ostream out(&buf);
-  msg::Reply reply;
-  reply.query = 0; // canonical accounting id
-  reply.from = from;
-  reply.to = to;
-  reply.complete = true;
-  reply.count = count;
-  if (aggregate != nullptr)
-    reply.aggregate = std::shared_ptr<const AggregatePartial>(
-        std::shared_ptr<const void>(), aggregate);
-  out << kMsgMagic << ' ' << "reply" << '\n';
-  write_reply_header(out, reply, elements);
-  return buf.count() + payload_bytes;
+  CountSink sink;
+  write_tag(sink, "reply");
+  write_reply_header(sink, ReplyHeader{0, from, to, true, count, elements,
+                                       aggregate});
+  return sink.bytes() + payload_bytes;
+}
+
+std::size_t update_wire_size(UpdateOp::Kind kind, std::uint64_t seq,
+                             overlay::NodeId origin, overlay::NodeId to,
+                             const DataElement& element) {
+  CountSink sink;
+  write_tag(sink, kind == UpdateOp::Kind::kRetract ? "retract" : "publish");
+  write_update(sink, seq, origin, to, element, 0, -1);
+  return sink.bytes();
 }
 
 void save_snapshot(const SquidSystem& sys, std::ostream& out) {
-  out << kMagic << '\n';
-  out << sys.curve().name() << ' ' << sys.space().dims() << ' '
-      << sys.space().bits_per_dim() << '\n';
+  std::string text;
+  AppendSink sink(text);
+  sink << kMagic << '\n';
+  sink << sys.curve().name() << ' ' << sys.space().dims() << ' '
+       << sys.space().bits_per_dim() << '\n';
 
   const auto ids = sys.ring().node_ids();
-  out << ids.size() << '\n';
-  for (const auto id : ids) out << to_string(id) << '\n';
+  sink << ids.size() << '\n';
+  for (const auto id : ids) sink << id << '\n';
 
-  out << sys.element_count() << '\n';
+  sink << sys.element_count() << '\n';
   sys.for_each_key([&](u128, const sfc::Point&,
                        const std::vector<DataElement>& elements) {
-    for (const auto& element : elements) {
-      write_element(out, element);
-      out << '\n';
-    }
+    for (const auto& element : elements) write_element_line(sink, element);
   });
+  out.write(text.data(), static_cast<std::streamsize>(text.size()));
 }
 
 void load_snapshot(SquidSystem& sys, std::istream& in) {
@@ -521,7 +628,7 @@ void load_snapshot(SquidSystem& sys, std::istream& in) {
   for (std::size_t i = 0; i < node_count; ++i) {
     std::string id_text;
     in >> id_text;
-    sys.add_node_at(parse_u128(id_text));
+    sys.add_node_at(parse_id(id_text, "snapshot: node id out of range"));
   }
 
   std::size_t element_count = 0;

@@ -20,7 +20,6 @@
 
 #include <algorithm>
 #include <thread>
-#include <utility>
 
 #include "squid/core/parallel.hpp"
 #include "squid/core/serialize.hpp"
@@ -63,25 +62,10 @@ PlannedOp plan_op(const SquidSystem& sys, const UpdateOp& op,
   out.result.hops = route.hops();
   if (!route.ok) return out; // unroutable: no frame ever transmitted
 
-  // The frame the owner would receive; its serialized size prices every
+  // The serialized size of the frame the owner would receive prices every
   // transmission below (resends and duplicates ship the whole frame again).
-  msg::Message frame;
-  if (op.kind == UpdateOp::Kind::kPublish) {
-    msg::PublishRequest p;
-    p.seq = seq;
-    p.origin = op.origin;
-    p.to = route.dest;
-    p.element = op.element;
-    frame = std::move(p);
-  } else {
-    msg::RetractRequest r;
-    r.seq = seq;
-    r.origin = op.origin;
-    r.to = route.dest;
-    r.element = op.element;
-    frame = std::move(r);
-  }
-  const std::size_t frame_bytes = wire_size(frame);
+  const std::size_t frame_bytes =
+      update_wire_size(op.kind, seq, op.origin, route.dest, op.element);
 
   bool delivered = true;
   sim::Time penalty = 0;

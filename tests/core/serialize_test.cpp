@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "squid/workload/corpus.hpp"
 
@@ -118,6 +121,82 @@ TEST(Snapshot, GarbageRejected) {
   SquidSystem sys(doc_space());
   std::stringstream garbage("not a snapshot at all");
   EXPECT_THROW(load_snapshot(sys, garbage), std::invalid_argument);
+}
+
+// --- Golden snapshot ---------------------------------------------------------
+// Fixed membership and awkward elements (empty name, spaces, a newline in
+// the name, a numeric token at zero) with the exact bytes the snapshot
+// format has always had for them.
+
+void fill_golden_system(SquidSystem& sys) {
+  sys.add_node_at(1);
+  sys.add_node_at(70000);
+  sys.add_node_at(123456789);
+  sys.repair_routing();
+  sys.publish({"alpha", {std::string("word"), 123.5}});
+  sys.publish({"name with spaces", {std::string("ab"), 0.1}});
+  sys.publish({"", {std::string(""), 999.75}});
+  sys.publish({"multi\nline", {std::string("zzzz"), 0.0}});
+}
+
+constexpr const char* kGoldenSnapshot =
+    "SQUID-SNAPSHOT-1\n"
+    "hilbert 2 20\n"
+    "3\n"
+    "1\n"
+    "70000\n"
+    "123456789\n"
+    "4\n"
+    "0: 2 s0: n4652005109817933824\n"
+    "16:name with spaces 2 s2:ab n4591870180066957722\n"
+    "5:alpha 2 s4:word n4638390956842811392\n"
+    "10:multi\n"
+    "line 2 s4:zzzz n0\n";
+
+std::string save_text(const SquidSystem& sys) {
+  std::ostringstream out;
+  save_snapshot(sys, out);
+  return out.str();
+}
+
+TEST(Snapshot, GoldenBytesAreWrittenAndRead) {
+  SquidSystem original(mixed_space());
+  fill_golden_system(original);
+  EXPECT_EQ(save_text(original), kGoldenSnapshot);
+
+  SquidSystem restored(mixed_space());
+  std::istringstream in(kGoldenSnapshot);
+  load_snapshot(restored, in);
+  EXPECT_EQ(restored.ring().node_ids(), original.ring().node_ids());
+  EXPECT_EQ(restored.element_count(), 4u);
+  EXPECT_EQ(save_text(restored), kGoldenSnapshot);
+}
+
+/// kGoldenSnapshot with its first `from` replaced by `to`.
+std::string golden_with(const std::string& from, const std::string& to) {
+  std::string text = kGoldenSnapshot;
+  const std::size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  return text.replace(at, from.size(), to);
+}
+
+TEST(Snapshot, HostileCountsAndLengthsFailLoudly) {
+  const std::vector<std::string> hostile = {
+      // Node and element counts far beyond the input.
+      golden_with("\n3\n", "\n18446744073709551615\n"),
+      golden_with("\n4\n", "\n4000000000000\n"),
+      // Name and string-token lengths far beyond the input.
+      golden_with("5:alpha", "400000000000:alpha"),
+      golden_with("s4:word", "s400000000000:word"),
+      golden_with("5:alpha", "-5:alpha"),
+      // A node id one past u128 max.
+      golden_with("70000", "340282366920938463463374607431768211456"),
+  };
+  for (const std::string& text : hostile) {
+    SquidSystem sys(mixed_space());
+    std::istringstream in(text);
+    EXPECT_THROW(load_snapshot(sys, in), std::invalid_argument) << text;
+  }
 }
 
 } // namespace
