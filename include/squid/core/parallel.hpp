@@ -16,9 +16,10 @@
 //   * ScanRequests hand off to the shard owning the scanned node (the
 //     coordinator/executor split of YTsaurus' CoordinateAndExecute) and
 //     sweep the immutable key store into PRIVATE ScanBuffers, one per
-//     posted scan. The home shard merges buffers in scan-post order at
-//     finalize, reconstructing the exact lockstep element order, stats,
-//     and span multiset no matter how shard threads interleaved.
+//     posted scan. The home shard absorbs buffers in scan-post order at
+//     finalize — the same absorb the sequential modes run at delivery —
+//     reconstructing the exact lockstep element order, stats, and span
+//     multiset no matter how shard threads interleaved.
 //   * Fault verdicts stay deterministic because each query gets its own
 //     injector forked from the base plan by submit index (sim::fork_plan);
 //     Engine::admit on the home engine remains the single choke point.
@@ -69,32 +70,6 @@ inline unsigned shard_of_node(overlay::NodeId id, unsigned shards) noexcept {
   return static_cast<unsigned>(splitmix64(mix) % shards);
 }
 
-/// One scan's private result slot. The executing shard fills it; the home
-/// shard reads it at finalize. The scans_outstanding release/acquire pair
-/// (ParallelQueryState) orders the writes before the merge.
-struct ScanBuffer {
-  overlay::NodeId at = 0;
-  bool touched_data = false; ///< at least one key matched here
-  std::vector<DataElement> elements;
-  std::size_t count = 0; ///< count-only queries accumulate here instead
-  // Raw kLocalScan span fields, replayed into the query's recorder at
-  // merge time (span record order differs from lockstep; the multiset and
-  // every derive_stats aggregate are identical).
-  std::uint64_t keys_scanned = 0;
-  std::uint64_t keys_matched = 0;
-  std::uint64_t matches = 0;
-  sfc::Segment segment{0, 0};
-  std::int32_t event = 0;
-  std::int32_t span = -1;
-  /// Aggregate pushdown: the scan folds into this record instead of filling
-  /// `elements`; finalize moves it into QueryExec::agg_scans in post order.
-  AggScanRecord agg;
-  /// Element/count queries: measured reply wire cost of this scan's answer
-  /// (see QueryStats::bytes_shipped); accumulated at finalize.
-  std::uint64_t reply_bytes = 0;
-  std::uint64_t reply_frames = 0;
-};
-
 class ParallelExecutor;
 
 /// Executor-owned per-query state; QueryExec::par points here while the
@@ -118,7 +93,7 @@ struct ParallelQueryState {
 };
 
 /// One unit of cross-shard work. kLaunch starts a query's planning on its
-/// home shard; kScan executes one handed-off store sweep; kFinalize merges
+/// home shard; kScan executes one handed-off store sweep; kFinalize absorbs
 /// scan buffers and completes the query (home shard again).
 struct ShardJob {
   enum class Kind : std::uint8_t { kLaunch, kScan, kFinalize };

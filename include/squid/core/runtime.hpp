@@ -65,6 +65,35 @@ struct AggScanRecord {
   std::uint64_t ship_bytes = 0;
 };
 
+/// One scan's result, filled by SquidSystem::sweep_scan and merged into its
+/// QueryExec by QueryExec::absorb_scan. kLockstep and kVirtualTime
+/// absorb right after the sweep at delivery; kParallel sweeps on the shard
+/// owning the scanned node and absorbs on the home shard at finalize, in
+/// scan-post order (the scans_outstanding release/acquire pair in
+/// ParallelQueryState orders the sweep's writes before the merge).
+struct ScanBuffer {
+  // The request's identity, replayed into the kLocalScan span at absorb.
+  overlay::NodeId at = 0;
+  sfc::Segment segment{0, 0};
+  std::int32_t event = 0;
+  std::int32_t span = -1;
+  std::uint32_t slot = 0; ///< aggregate queries: the QueryExec::agg_scans slot
+  /// Element queries: the matches, appended in key order. Sequential
+  /// delivery lends the query's results here, so the sweep appends after
+  /// them (a reply covers only the scan's own elements).
+  std::vector<DataElement> elements;
+  std::uint64_t keys_scanned = 0;
+  std::uint64_t keys_matched = 0;
+  std::uint64_t matches = 0;
+  /// Aggregate pushdown: the scan folds into this record instead of filling
+  /// `elements`; absorb moves it into its agg_scans slot.
+  AggScanRecord agg;
+  /// Element queries: measured reply wire cost of this scan's answer (see
+  /// QueryStats::bytes_shipped), sized by the sweep on the executing shard.
+  std::uint64_t reply_bytes = 0;
+  std::uint64_t reply_frames = 0;
+};
+
 /// How NodeRuntime schedules message arrivals (see file comment).
 enum class DeliveryMode : std::uint8_t {
   kLockstep,    ///< all at delay 0; FIFO replays the seed recursion order
@@ -122,8 +151,6 @@ struct QueryExec {
   std::set<NodeId> processing;
   std::set<NodeId> data_nodes;
   std::size_t messages = 0;
-  bool count_only = false; ///< count matches without shipping elements
-  std::size_t count = 0;
   std::vector<DataElement> results;
 
   // --- Aggregation pushdown (DESIGN.md 4g) ---------------------------------
@@ -147,7 +174,7 @@ struct QueryExec {
   }
 
   /// Reply-path wire accounting (QueryStats::bytes_shipped/reply_messages).
-  /// Element/count queries accumulate per scan; aggregate queries per
+  /// Element queries accumulate per scan; aggregate queries per
   /// dispatch-tree edge at finalize. Sums of planning-determined terms, so
   /// identical across delivery modes and shard counts.
   std::uint64_t bytes_shipped = 0;
@@ -190,14 +217,21 @@ struct QueryExec {
     sim::Time penalty = 0; ///< backoff waits + delivery delay, in ticks
   };
 
-  /// Deliver one message leg from -> to through Engine::admit — the uniform
+  /// Judge one message leg from -> to through `engine`.admit — the uniform
   /// fault interception point — resending with exponential backoff
-  /// (config->retry_backoff << attempt) up to config->send_retries times.
+  /// (config.retry_backoff << attempt) up to config.send_retries times.
   /// No injector attached: immediate clean delivery (the zero-overhead
-  /// path — no draws, no spans, no accounting). Verdicts are drawn here,
-  /// at planning time, so the injector's RNG stream is consumed in exactly
-  /// the seed recursion's order.
-  Leg attempt_leg(NodeId from, NodeId to);
+  /// path — no draws). Shared by query legs and update frames
+  /// (core/update.hpp), so both consume an injector's stream identically.
+  static Leg judge_leg(sim::Engine& engine, const SquidConfig& config,
+                       NodeId from, NodeId to);
+
+  /// judge_leg on this query's engine. Verdicts are drawn here, at planning
+  /// time, so the injector's RNG stream is consumed in exactly the seed
+  /// recursion's order.
+  Leg attempt_leg(NodeId from, NodeId to) {
+    return judge_leg(*engine, *config, from, to);
+  }
 
   /// Account a *delivered* leg's fault costs. Resends and duplicate copies
   /// are extra query messages; the retry span carries them so derive_stats
@@ -214,6 +248,12 @@ struct QueryExec {
   void fail_leg(std::size_t resends, sim::Time penalty, std::size_t units,
                 NodeId to, std::int32_t event, std::int32_t span);
 
+  /// Merge one swept scan (SquidSystem::sweep_scan) into this query: the
+  /// processing/data node sets, the elements or the aggregate record, the
+  /// reply's bytes and frames, the telemetry records and the kLocalScan
+  /// span. The one place scan bookkeeping happens, in every delivery mode.
+  void absorb_scan(ScanBuffer& scan);
+
   std::int32_t add_event(std::int32_t parent, std::size_t hops) {
     timing.push_back(TimingEvent{parent, static_cast<std::uint32_t>(hops)});
     depth.push_back(depth[static_cast<std::size_t>(parent)] + hops);
@@ -228,7 +268,8 @@ struct QueryExec {
   std::size_t outstanding = 0; ///< scheduled-but-undelivered messages
   bool reply_posted = false;
   bool finished = false;
-  bool publish_metrics = false; ///< query() publishes; count()/baselines not
+  /// Every start_exec query publishes; query_centralized (a baseline) not.
+  bool publish_metrics = false;
   sim::Time started_at = 0;  ///< engine clock at launch
   sim::Time completed_at = 0; ///< engine clock when the Reply delivered
   QueryResult result; ///< assembled by finalize (Reply delivery)

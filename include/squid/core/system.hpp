@@ -33,7 +33,6 @@ class FaultInjector; // sim/fault.hpp
 
 namespace squid::core {
 
-struct ScanBuffer;        // core/parallel.hpp
 struct ParallelQuerySpec; // core/parallel.hpp
 struct ParallelOptions;   // core/parallel.hpp
 struct ParallelRun;       // core/parallel.hpp
@@ -169,8 +168,8 @@ public:
   QueryResult query(const std::string& text, Rng& rng) const;
 
   /// Cardinality probe: how many elements match, without shipping any of
-  /// them back (data nodes reply with counts). Same completeness guarantee
-  /// and resolution cost as query().
+  /// them back. Same as query_count() (the kCount pushdown); same
+  /// completeness guarantee and planning as query().
   std::size_t count(const keyword::Query& query, NodeId origin) const;
 
   // --- Aggregation pushdown (core/aggregate.hpp, DESIGN.md 4g) --------------
@@ -241,10 +240,10 @@ public:
 
   // --- Reference oracle (tests/core/async_differential_test.cpp) -----------
   // The seed synchronous resolver, frozen verbatim in
-  // query_engine_reference.cpp. query()/count()/query_centralized() above
-  // run the message-driven runtime and are locked bit-identical to these
-  // (results, QueryStats, traces, timing DAG, fault RNG stream). Test-only:
-  // no registry metrics are published.
+  // query_engine_reference.cpp. query()/query_centralized() above run the
+  // message-driven runtime and are locked bit-identical to these (results,
+  // QueryStats, traces, timing DAG, fault RNG stream); count() answers
+  // equal count_reference(). Test-only: no registry metrics are published.
   QueryResult query_reference(const keyword::Query& query,
                               NodeId origin) const;
   std::size_t count_reference(const keyword::Query& query,
@@ -376,7 +375,7 @@ private:
   /// Delivers query messages into the private handlers below.
   friend class NodeRuntime;
   /// Runs kParallel queries through start_exec/begin_resolution/
-  /// perform_scan_parallel/finalize_query (core/parallel.cpp).
+  /// sweep_scan/finalize_query (core/parallel.cpp).
   friend class ParallelExecutor;
 
   u128 index_of_element(const DataElement& element) const;
@@ -394,17 +393,28 @@ private:
   // ids alongside the work: `event`, the timing-DAG event the step executes
   // under, and `span`, the parent trace span (-1 / ignored when tracing is
   // off).
+  /// The query's rectangle, validated once (per-node paths trust it).
+  /// Throws std::invalid_argument for malformed queries.
+  sfc::Rect query_rect(const keyword::Query& query) const;
+  /// Build a query's exec: validated rectangle (and aggregate spec, when
+  /// given), cache guard armed while cache_cluster_owners is on, trace and
+  /// telemetry scratch per the system's current settings, registry
+  /// publishing at finalize.
   std::shared_ptr<QueryExec> start_exec(sim::Engine& engine, DeliveryMode mode,
                                         const keyword::Query& query,
-                                        NodeId origin, bool count_only,
-                                        bool want_trace, bool publish,
-                                        bool arm_guard,
-                                        const AggregateSpec* aggregate =
-                                            nullptr) const;
+                                        NodeId origin,
+                                        const AggregateSpec* aggregate) const;
   /// Post the root work: the point-query fast path (paper 3.4.1) or the
   /// origin's ResolveRequest for the refinement-tree root.
-  void begin_resolution(const std::shared_ptr<QueryExec>& exec,
-                        bool allow_point) const;
+  void begin_resolution(const std::shared_ptr<QueryExec>& exec) const;
+  /// query()/query_aggregate(): a private engine at the fault injector's
+  /// clock, drained in lockstep until the Reply delivers.
+  QueryResult run_lockstep(const keyword::Query& query, NodeId origin,
+                           const AggregateSpec* aggregate) const;
+  /// query_async()/query_aggregate_async(): launch on the caller's engine.
+  QueryHandle launch_async(const keyword::Query& query, NodeId origin,
+                           sim::Engine& engine,
+                           const AggregateSpec* aggregate) const;
   void handle_resolve(const std::shared_ptr<QueryExec>& exec, NodeId at,
                       std::vector<sfc::ClusterNode> clusters,
                       std::int32_t event, std::int32_t span) const;
@@ -420,44 +430,28 @@ private:
       const std::shared_ptr<QueryExec>& exec, NodeId from,
       const std::vector<std::pair<u128, sfc::ClusterNode>>& clusters,
       std::int32_t event, std::int32_t span) const;
-  /// ScanRequest delivery: sweep this peer's slice of the flat store. For
-  /// aggregate requests (scan.agg.kind != kNone) the matches fold into the
-  /// scan's AggScanRecord slot instead of exec.results.
-  void perform_scan(QueryExec& exec, const msg::ScanRequest& scan) const;
-  /// The store sweep itself, shared by perform_scan and the parallel path:
-  /// walk stored keys in [segment.lo, segment.hi], filter by `rect` unless
-  /// `covered`, and accumulate into the caller's sinks. With `agg` non-null
-  /// matching elements fold into the record (elements/count untouched).
+  /// ScanRequest work: sweep this peer's slice of the store into `out` and
+  /// size its reply. Reads only exec's rect and origin, so kParallel shards
+  /// run it concurrently with home-shard planning; QueryExec::absorb_scan
+  /// merges the buffer afterwards. For aggregate requests
+  /// (scan.agg.kind != kNone) the matches fold into out.agg instead.
+  void sweep_scan(const QueryExec& exec, const msg::ScanRequest& scan,
+                  ScanBuffer& out) const;
+  /// The live-store walk: visit stored keys in [segment.lo, segment.hi],
+  /// filter by `rect` unless `covered`, and collect or fold into `out`.
   void scan_segment(const sfc::Rect& rect, sfc::Segment segment, bool covered,
-                    bool count_only, std::vector<DataElement>& elements,
-                    std::size_t& count, std::uint64_t& keys_scanned,
-                    std::uint64_t& keys_matched, std::uint64_t& matches,
-                    AggScanRecord* agg = nullptr) const;
-  /// The sweep over an explicit (index, payload) array pair: replica scans
-  /// (ScanRequest::replica != 0) run it over the entry's flat snapshot.
-  /// Same per-key filter/fold body as the live-store walk in scan_segment.
+                    ScanBuffer& out) const;
+  /// The same sweep over an explicit (index, payload) array pair: replica
+  /// scans (ScanRequest::replica != 0) run it over the entry's snapshot.
   void scan_arrays(const std::vector<u128>& index,
                    const std::vector<StoredKey>& data, const sfc::Rect& rect,
-                   sfc::Segment segment, bool covered, bool count_only,
-                   std::vector<DataElement>& elements, std::size_t& count,
-                   std::uint64_t& keys_scanned, std::uint64_t& keys_matched,
-                   std::uint64_t& matches, AggScanRecord* agg) const;
+                   sfc::Segment segment, bool covered, ScanBuffer& out) const;
   /// Dispatch a scan to its arrays: replica == 0 sweeps the live store
   /// (scan_segment); otherwise the entry's snapshot when it is still present
   /// and valid, else the live store (an entry invalidated or dropped while
   /// the scan was in flight must not serve its stale snapshot).
   void scan_slice(std::uint64_t replica, const sfc::Rect& rect,
-                  sfc::Segment segment, bool covered, bool count_only,
-                  std::vector<DataElement>& elements, std::size_t& count,
-                  std::uint64_t& keys_scanned, std::uint64_t& keys_matched,
-                  std::uint64_t& matches, AggScanRecord* agg) const;
-  /// kParallel twin of perform_scan: identical sweep, but every result and
-  /// span field lands in the scan's private ScanBuffer (no QueryExec
-  /// mutation — executor shards run this concurrently with home-shard
-  /// planning). The home shard merges buffers at finalize.
-  void perform_scan_parallel(const QueryExec& exec,
-                             const msg::ScanRequest& scan,
-                             ScanBuffer& out) const;
+                  sfc::Segment segment, bool covered, ScanBuffer& out) const;
   /// Reply delivery: assemble QueryResult, close the trace, publish
   /// metrics, release the cache guard, stamp completed_at.
   void finalize_query(QueryExec& exec) const;
@@ -514,7 +508,7 @@ private:
   /// entries match.
   const ReplicaEntry* replica_serving(const sfc::ClusterNode& cluster) const;
   /// Scan-side hook: credit `matched` keys of served load to entry `id`
-  /// (no-op for id 0 / dropped entries). Called from both scan paths.
+  /// (no-op for id 0 / dropped entries). Called from sweep_scan.
   void note_replica_serve(std::uint64_t id, std::uint64_t matched) const;
   /// Copy the live store's keys in `entry.segment` into its snapshot.
   void snapshot_replica(ReplicaEntry& entry);

@@ -153,11 +153,12 @@ ParallelExecutor::~ParallelExecutor() = default;
 ParallelRun ParallelExecutor::run(const std::vector<ParallelQuerySpec>& specs) {
   ParallelRun out;
   if (specs.empty()) return out;
-  // Validate on the caller's thread: a bad origin should throw here, not
-  // terminate() out of a worker.
+  // Validate on the caller's thread: a bad origin, query, or aggregate spec
+  // should throw here, not terminate() out of a worker.
   for (const ParallelQuerySpec& spec : specs) {
     SQUID_REQUIRE(sys_->ring().contains(spec.origin),
                   "query_parallel origin is not a live node");
+    (void)sys_->query_rect(spec.query);
     if (spec.aggregate.has_value()) sys_->validate_aggregate(*spec.aggregate);
   }
 
@@ -249,7 +250,7 @@ void ParallelExecutor::execute(Shard& sh, ShardJob& job) {
     break;
   case ShardJob::Kind::kScan: {
     ParallelQueryState& q = *job.query;
-    sys_->perform_scan_parallel(*q.exec, job.scan, *job.buffer);
+    sys_->sweep_scan(*q.exec, job.scan, *job.buffer);
     ++sh.delivered;
     // acq_rel: the release half publishes this buffer's writes down the
     // counter chain; the acquire half picks up every earlier scan's, so
@@ -270,14 +271,12 @@ void ParallelExecutor::launch(Shard& sh, ParallelQueryState& q) {
   const ParallelQuerySpec& spec = (*specs_)[q.index];
   q.exec = sys_->start_exec(
       sh.engine, DeliveryMode::kParallel, spec.query, spec.origin,
-      /*count_only=*/false, /*want_trace=*/sys_->tracing(), /*publish=*/true,
-      /*arm_guard=*/true,
       spec.aggregate.has_value() ? &*spec.aggregate : nullptr);
   q.exec->par = &q;
   // The forked injector rides the home engine only for this query's
   // planning drain; Engine::admit stays the single choke point per shard.
   if (q.injector.has_value()) sh.engine.set_fault_injector(&*q.injector);
-  sys_->begin_resolution(q.exec, /*allow_point=*/true);
+  sys_->begin_resolution(q.exec);
   std::uint64_t steps = 0;
   while (sh.engine.step()) ++steps;
   sh.delivered += steps;
@@ -286,48 +285,11 @@ void ParallelExecutor::launch(Shard& sh, ParallelQueryState& q) {
 
 void ParallelExecutor::finalize(ParallelQueryState& q) {
   QueryExec& ex = *q.exec;
-  // Merge in deque order == scan post order == the order lockstep executed
+  // Absorb in deque order == scan post order == the order lockstep executed
   // the scans — this is what reconstructs the element order bit-exactly.
-  for (ScanBuffer& b : q.scans) {
-    ex.processing.insert(b.at);
-    if (b.touched_data) ex.data_nodes.insert(b.at);
-    if (ex.agg.has_value()) {
-      // Deque order == scan post order == the lockstep slot order, so the
-      // records land exactly where the sequential modes put them.
-      ex.agg_scans.push_back(std::move(b.agg));
-    } else if (ex.count_only) {
-      ex.count += b.count;
-      ex.bytes_shipped += b.reply_bytes;
-      ex.reply_messages += b.reply_frames;
-    } else {
-      ex.results.insert(ex.results.end(),
-                        std::make_move_iterator(b.elements.begin()),
-                        std::make_move_iterator(b.elements.end()));
-      ex.bytes_shipped += b.reply_bytes;
-      ex.reply_messages += b.reply_frames;
-    }
-    // Telemetry for the deferred scans, recorded here on the home shard so
-    // the scratch is only ever touched single-threaded — the same events,
-    // at the same ticks, the sequential modes record inside perform_scan.
-    if (ex.telemetry != nullptr) {
-      if (!ex.agg.has_value())
-        ex.telemetry->record(b.at, obs::LoadKind::kReplyForwarded,
-                             b.reply_frames, ex.tick(b.event));
-      ex.telemetry->record(b.at, obs::LoadKind::kScanHit, b.keys_matched,
-                           ex.tick(b.event));
-    }
-    if (ex.trace) {
-      const std::int32_t id = ex.trace->begin(obs::SpanKind::kLocalScan,
-                                              b.span, b.event, ex.tick(b.event));
-      obs::Span& s = ex.trace->at(id);
-      s.node = b.at;
-      s.range_lo = b.segment.lo;
-      s.range_hi = b.segment.hi;
-      s.keys_scanned = b.keys_scanned;
-      s.keys_matched = b.keys_matched;
-      s.matches = b.matches;
-    }
-  }
+  // Running here on the home shard keeps QueryExec (and its telemetry
+  // scratch) single-threaded.
+  for (ScanBuffer& b : q.scans) ex.absorb_scan(b);
   ex.reply_posted = true;
   sys_->finalize_query(ex);
   if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
@@ -354,7 +316,6 @@ void parallel_post_scan(QueryExec& ex, msg::ScanRequest scan) {
   ParallelQueryState* q = ex.par;
   SQUID_REQUIRE(q != nullptr, "kParallel exec without executor state");
   const overlay::NodeId dest = scan.at;
-  scan.slot = static_cast<std::uint32_t>(q->scans.size());
   q->scans.emplace_back(); // stable slot (deque): filled by the executing
   ScanBuffer* buffer = &q->scans.back(); // shard, merged at finalize
   q->scans_outstanding.fetch_add(1, std::memory_order_relaxed);

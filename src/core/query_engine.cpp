@@ -7,12 +7,13 @@
 // on one virtual clock (query_async) and every leg passes the uniform
 // fault interception point (Engine::admit).
 //
-// Bit-identicality contract: the synchronous query()/count()/
+// Bit-identicality contract: the synchronous query() and
 // query_centralized() wrappers drive a private engine in lockstep mode and
 // are locked bit-identical to the frozen seed resolver
 // (query_engine_reference.cpp) by tests/core/async_differential_test.cpp —
 // results, QueryStats, derive_stats on traces, the timing DAG, and the
-// fault injector's RNG stream, faults off and on. The invariant that makes
+// fault injector's RNG stream, faults off and on (count(), a kCount
+// pushdown, is locked to the seed's count). The invariant that makes
 // this work: handlers do ALL order-sensitive planning (routing, fault
 // verdicts, budget, cache consults, timing events, non-scan spans) at
 // delivery time in the seed recursion's order (engine FIFO == the seed's
@@ -160,72 +161,58 @@ void SquidSystem::set_telemetry(obs::EpochSampler* sampler) noexcept {
 
 namespace {
 
-/// The per-key filter/fold body shared by every scan path: live tiered
-/// walks, flat replica snapshots, and the frozen reference oracle all visit
-/// keys through this, so their accounting is identical by construction.
-/// `Key` is SquidSystem's private StoredKey (templated to keep it so).
+/// The per-key filter/fold body shared by the live tiered walk and the flat
+/// replica snapshots, so their accounting is identical by construction.
+/// Aggregate scans (the buffer's record carries a spec) fold matches into
+/// the record; element scans collect them. `Key` is SquidSystem's private
+/// StoredKey (templated to keep it so).
 template <class Key>
 void visit_scanned_key(const Key& key, const sfc::Rect& rect, bool covered,
-                       bool count_only, std::vector<DataElement>& elements,
-                       std::size_t& count, std::uint64_t& keys_scanned,
-                       std::uint64_t& keys_matched, std::uint64_t& matches,
-                       AggScanRecord* agg) {
-  ++keys_scanned;
+                       ScanBuffer& out) {
+  ++out.keys_scanned;
   if (!covered && !rect.contains(key.point)) return;
-  ++keys_matched;
-  matches += key.elements.size();
-  if (agg != nullptr) {
+  ++out.keys_matched;
+  out.matches += key.elements.size();
+  if (out.agg.partial.spec.kind != AggregateKind::kNone) {
     for (const DataElement& e : key.elements) {
-      agg->partial.fold(e);
+      out.agg.partial.fold(e);
       // What shipping this element instead would have cost; feeds the
       // bytes_saved counter, so skip the serializer when obs is off.
-      if constexpr (obs::kEnabled) agg->ship_bytes += element_wire_size(e);
+      if constexpr (obs::kEnabled) out.agg.ship_bytes += element_wire_size(e);
     }
-  } else if (count_only) {
-    count += key.elements.size();
   } else {
-    elements.insert(elements.end(), key.elements.begin(), key.elements.end());
+    out.elements.insert(out.elements.end(), key.elements.begin(),
+                        key.elements.end());
   }
 }
 
 } // namespace
 
 void SquidSystem::scan_segment(const sfc::Rect& rect, sfc::Segment seg,
-                               bool covered, bool count_only,
-                               std::vector<DataElement>& elements,
-                               std::size_t& count, std::uint64_t& keys_scanned,
-                               std::uint64_t& keys_matched,
-                               std::uint64_t& matches,
-                               AggScanRecord* agg) const {
+                               bool covered, ScanBuffer& out) const {
   // The live-store sweep: a lockstep walk over the tiers in ascending key
   // order, tombstones skipped entirely (a retracted key is invisible to
   // keys_scanned, exactly as if it had never been published).
   store_.scan(seg.lo, seg.hi, [&](u128, const StoredKey& key) {
-    visit_scanned_key(key, rect, covered, count_only, elements, count,
-                      keys_scanned, keys_matched, matches, agg);
+    visit_scanned_key(key, rect, covered, out);
   });
 }
 
 void SquidSystem::scan_slice(std::uint64_t replica, const sfc::Rect& rect,
-                             sfc::Segment seg, bool covered, bool count_only,
-                             std::vector<DataElement>& elements,
-                             std::size_t& count, std::uint64_t& keys_scanned,
-                             std::uint64_t& keys_matched,
-                             std::uint64_t& matches, AggScanRecord* agg) const {
+                             sfc::Segment seg, bool covered,
+                             ScanBuffer& out) const {
   if (replica != 0) {
     const auto it = replica_cache_.find(replica);
     if (it != replica_cache_.end() && it->second.valid) {
       scan_arrays(it->second.snapshot_index, it->second.snapshot_data, rect,
-                  seg, covered, count_only, elements, count, keys_scanned,
-                  keys_matched, matches, agg);
+                  seg, covered, out);
       return;
     }
     // Invalidated or dropped while the scan was in flight: answer from the
     // live store instead — a replica may be behind, but it must never be
     // stale-served (docs/LOAD_BALANCING.md, invalidation protocol).
   }
-  scan_segment(rect, seg, covered, count_only, elements, count, keys_scanned,
-               keys_matched, matches, agg);
+  scan_segment(rect, seg, covered, out);
 }
 
 void SquidSystem::note_replica_serve(std::uint64_t id,
@@ -239,106 +226,43 @@ void SquidSystem::note_replica_serve(std::uint64_t id,
 void SquidSystem::scan_arrays(const std::vector<u128>& index,
                               const std::vector<StoredKey>& data,
                               const sfc::Rect& rect, sfc::Segment seg,
-                              bool covered, bool count_only,
-                              std::vector<DataElement>& elements,
-                              std::size_t& count, std::uint64_t& keys_scanned,
-                              std::uint64_t& keys_matched,
-                              std::uint64_t& matches,
-                              AggScanRecord* agg) const {
+                              bool covered, ScanBuffer& out) const {
   // One contiguous sweep over a flat array pair (replica snapshots): binary
-  // search to the segment start, then walk index/payloads in lockstep. With
-  // an aggregate sink the matching elements fold into the local partial
-  // instead of being collected — the pushdown of DESIGN.md 4g.
+  // search to the segment start, then walk index/payloads in lockstep.
   std::size_t i = static_cast<std::size_t>(
       std::lower_bound(index.begin(), index.end(), seg.lo) - index.begin());
   for (; i < index.size() && index[i] <= seg.hi; ++i)
-    visit_scanned_key(data[i], rect, covered, count_only, elements, count,
-                      keys_scanned, keys_matched, matches, agg);
+    visit_scanned_key(data[i], rect, covered, out);
 }
 
-void SquidSystem::perform_scan(QueryExec& ex,
-                               const msg::ScanRequest& scan) const {
-  const NodeId at = scan.at;
-  const sfc::Segment seg = scan.segment;
-  ex.processing.insert(at);
-  std::uint64_t scanned = 0;
-  std::uint64_t matched = 0;
-  std::uint64_t collected = 0;
-  if (scan.agg.kind != AggregateKind::kNone) {
-    // Pushdown: fold into this scan's pre-assigned record. The slot was
-    // allocated at post time (identical order across delivery modes), so the
-    // deque is already sized.
-    AggScanRecord& rec = ex.agg_scans[scan.slot];
-    rec.at = at;
-    rec.partial.spec = scan.agg;
-    scan_slice(scan.replica, ex.rect, seg, scan.covered, ex.count_only,
-               ex.results, ex.count, scanned, matched, collected, &rec);
-  } else {
-    const std::size_t first = ex.results.size();
-    scan_slice(scan.replica, ex.rect, seg, scan.covered, ex.count_only,
-               ex.results, ex.count, scanned, matched, collected, nullptr);
-    // Reply-path accounting: this scan site answers the origin directly with
-    // one reply (split into MTU frames), measured through the real
-    // serializer. Sums of per-scan terms, so mode-independent.
-    std::size_t payload = 0;
-    const std::size_t shipped = ex.results.size() - first;
-    for (std::size_t k = first; k < ex.results.size(); ++k)
-      payload += element_wire_size(ex.results[k]);
-    const std::size_t bytes = reply_wire_size(
-        at, ex.origin, ex.count_only ? collected : shipped, shipped, payload);
-    ex.bytes_shipped += bytes;
-    const std::size_t frames = frames_of(bytes, config_.reply_frame_bytes);
-    ex.reply_messages += frames;
-    if (ex.telemetry != nullptr)
-      ex.telemetry->record(at, obs::LoadKind::kReplyForwarded, frames,
-                           ex.tick(scan.event));
-  }
-  if (matched > 0) ex.data_nodes.insert(at);
-  note_replica_serve(scan.replica, matched);
-  if (ex.telemetry != nullptr)
-    ex.telemetry->record(at, obs::LoadKind::kScanHit, matched,
-                         ex.tick(scan.event));
-  if (ex.trace) {
-    const std::int32_t id = ex.trace->begin(obs::SpanKind::kLocalScan,
-                                            scan.span, scan.event,
-                                            ex.tick(scan.event));
-    obs::Span& s = ex.trace->at(id);
-    s.node = at;
-    s.range_lo = seg.lo;
-    s.range_hi = seg.hi;
-    s.keys_scanned = scanned;
-    s.keys_matched = matched;
-    s.matches = collected;
-  }
-}
-
-void SquidSystem::perform_scan_parallel(const QueryExec& ex,
-                                        const msg::ScanRequest& scan,
-                                        ScanBuffer& out) const {
+void SquidSystem::sweep_scan(const QueryExec& ex, const msg::ScanRequest& scan,
+                             ScanBuffer& out) const {
   out.at = scan.at;
   out.segment = scan.segment;
   out.event = scan.event;
   out.span = scan.span;
-  if (scan.agg.kind != AggregateKind::kNone) {
-    out.agg.at = scan.at;
-    out.agg.partial.spec = scan.agg;
-    scan_slice(scan.replica, ex.rect, scan.segment, scan.covered,
-               ex.count_only, out.elements, out.count, out.keys_scanned,
-               out.keys_matched, out.matches, &out.agg);
-  } else {
-    scan_slice(scan.replica, ex.rect, scan.segment, scan.covered,
-               ex.count_only, out.elements, out.count, out.keys_scanned,
-               out.keys_matched, out.matches, nullptr);
-    std::size_t payload = 0;
-    for (const DataElement& e : out.elements) payload += element_wire_size(e);
-    const std::size_t bytes = reply_wire_size(
-        scan.at, ex.origin, ex.count_only ? out.matches : out.elements.size(),
-        out.elements.size(), payload);
-    out.reply_bytes = bytes;
-    out.reply_frames = frames_of(bytes, config_.reply_frame_bytes);
-  }
+  out.slot = scan.slot;
+  // Aggregate scans (scan.agg.kind != kNone) fold into the record — the
+  // pushdown of DESIGN.md 4g; element scans collect into out.elements.
+  out.agg.at = scan.at;
+  out.agg.partial.spec = scan.agg;
+  // `out.elements` may already hold earlier results lent by the caller;
+  // this scan's reply covers only what it appends.
+  const std::size_t first = out.elements.size();
+  scan_slice(scan.replica, ex.rect, scan.segment, scan.covered, out);
   note_replica_serve(scan.replica, out.keys_matched);
-  out.touched_data = out.keys_matched > 0;
+  if (scan.agg.kind != AggregateKind::kNone) return;
+  // Reply-path accounting: this scan site answers the origin directly with
+  // one reply (split into MTU frames), measured through the real
+  // serializer. Sized here, on the executing shard under kParallel; sums of
+  // per-scan terms, so mode-independent.
+  std::size_t payload = 0;
+  for (std::size_t k = first; k < out.elements.size(); ++k)
+    payload += element_wire_size(out.elements[k]);
+  const std::size_t shipped = out.elements.size() - first;
+  out.reply_bytes =
+      reply_wire_size(scan.at, ex.origin, shipped, shipped, payload);
+  out.reply_frames = frames_of(out.reply_bytes, config_.reply_frame_bytes);
 }
 
 void SquidSystem::plan_chain(const std::shared_ptr<QueryExec>& exec,
@@ -911,10 +835,16 @@ void SquidSystem::finalize_query(QueryExec& ex) const {
 
 // --- Launch / drive ---------------------------------------------------------
 
+sfc::Rect SquidSystem::query_rect(const keyword::Query& query) const {
+  sfc::Rect rect = space_.to_rect(query);
+  refiner_.validate_query(rect); // once per query; per-node paths trust it
+  return rect;
+}
+
 std::shared_ptr<QueryExec> SquidSystem::start_exec(
     sim::Engine& engine, DeliveryMode mode, const keyword::Query& query,
-    NodeId origin, bool count_only, bool want_trace, bool publish,
-    bool arm_guard, const AggregateSpec* aggregate) const {
+    NodeId origin, const AggregateSpec* aggregate) const {
+  if (aggregate != nullptr) validate_aggregate(*aggregate);
   SQUID_REQUIRE(ring_.contains(origin), "query origin is not a live node");
   auto exec = std::make_shared<QueryExec>();
   QueryExec& ex = *exec;
@@ -924,13 +854,10 @@ std::shared_ptr<QueryExec> SquidSystem::start_exec(
   ex.sys = this;
   ex.config = &config_;
   ex.origin = origin;
-  if (arm_guard && config_.cache_cluster_owners)
-    ex.cache_guard.emplace(*cache_writers_);
-  ex.rect = space_.to_rect(query);
-  refiner_.validate_query(ex.rect); // once per query; per-node paths trust it
+  if (config_.cache_cluster_owners) ex.cache_guard.emplace(*cache_writers_);
+  ex.rect = query_rect(query);
   ex.dispatch_budget = 64 * (ring_.size() + 8); // churn safety valve
-  ex.count_only = count_only;
-  ex.publish_metrics = publish;
+  ex.publish_metrics = true;
   if (aggregate != nullptr) {
     ex.agg = *aggregate;
     // The origin is the reply tree's root: pre-seeding it means the first
@@ -940,7 +867,7 @@ std::shared_ptr<QueryExec> SquidSystem::start_exec(
   ex.routing.insert(origin);
   ex.started_at = engine.now();
 #if SQUID_OBS_ENABLED
-  if (want_trace) {
+  if (trace_enabled_) {
     ex.recorder.emplace();
     ex.trace = &*ex.recorder;
     ex.root_span = ex.trace->begin(obs::SpanKind::kQuery, -1, 0, 0);
@@ -953,19 +880,17 @@ std::shared_ptr<QueryExec> SquidSystem::start_exec(
     ex.telemetry_store.emplace();
     ex.telemetry = &*ex.telemetry_store;
   }
-#else
-  (void)want_trace;
 #endif
   return exec;
 }
 
-void SquidSystem::begin_resolution(const std::shared_ptr<QueryExec>& exec,
-                                   bool allow_point) const {
+void SquidSystem::begin_resolution(
+    const std::shared_ptr<QueryExec>& exec) const {
   QueryExec& ex = *exec;
   const NodeRuntime runtime(this);
   bool is_point = true;
   for (const auto& iv : ex.rect.dims) is_point &= (iv.lo == iv.hi);
-  if (allow_point && is_point) {
+  if (is_point) {
     // Paper 3.4.1: a query of whole keywords maps to at most one index and
     // resolves with the plain data-lookup protocol.
     sfc::Point point;
@@ -1030,19 +955,33 @@ void drive_to_completion(sim::Engine& engine,
 
 } // namespace
 
-QueryResult SquidSystem::query(const keyword::Query& query,
-                               NodeId origin) const {
+QueryResult SquidSystem::run_lockstep(const keyword::Query& query,
+                                      NodeId origin,
+                                      const AggregateSpec* aggregate) const {
   // A private engine per synchronous query, started at the injector's
   // clock so lockstep stepping (all events at one timestamp) never moves
   // it — partition windows behave exactly as in the seed path.
   sim::Engine engine(fault_ ? fault_->now() : 0);
   engine.set_fault_injector(fault_);
-  auto exec = start_exec(engine, DeliveryMode::kLockstep, query, origin,
-                         /*count_only=*/false, /*want_trace=*/trace_enabled_,
-                         /*publish=*/true, /*arm_guard=*/true);
-  begin_resolution(exec, /*allow_point=*/true);
+  auto exec =
+      start_exec(engine, DeliveryMode::kLockstep, query, origin, aggregate);
+  begin_resolution(exec);
   drive_to_completion(engine, exec);
   return std::move(exec->result);
+}
+
+QueryHandle SquidSystem::launch_async(const keyword::Query& query,
+                                      NodeId origin, sim::Engine& engine,
+                                      const AggregateSpec* aggregate) const {
+  auto exec =
+      start_exec(engine, DeliveryMode::kVirtualTime, query, origin, aggregate);
+  begin_resolution(exec);
+  return QueryHandle(exec);
+}
+
+QueryResult SquidSystem::query(const keyword::Query& query,
+                               NodeId origin) const {
+  return run_lockstep(query, origin, nullptr);
 }
 
 QueryResult SquidSystem::query(const std::string& text, Rng& rng) const {
@@ -1052,27 +991,12 @@ QueryResult SquidSystem::query(const std::string& text, Rng& rng) const {
 QueryHandle SquidSystem::query_async(const keyword::Query& query,
                                      NodeId origin,
                                      sim::Engine& engine) const {
-  auto exec = start_exec(engine, DeliveryMode::kVirtualTime, query, origin,
-                         /*count_only=*/false, /*want_trace=*/trace_enabled_,
-                         /*publish=*/true, /*arm_guard=*/true);
-  begin_resolution(exec, /*allow_point=*/true);
-  return QueryHandle(exec);
+  return launch_async(query, origin, engine, nullptr);
 }
 
 std::size_t SquidSystem::count(const keyword::Query& query,
                                NodeId origin) const {
-  // Same resolution as query(), but data nodes reply with counts instead of
-  // shipping elements — the cheap existence/cardinality probe. No
-  // QueryResult consumer, so tracing and metrics stay off; like the seed,
-  // no point-query fast path.
-  sim::Engine engine(fault_ ? fault_->now() : 0);
-  engine.set_fault_injector(fault_);
-  auto exec = start_exec(engine, DeliveryMode::kLockstep, query, origin,
-                         /*count_only=*/true, /*want_trace=*/false,
-                         /*publish=*/false, /*arm_guard=*/true);
-  begin_resolution(exec, /*allow_point=*/false);
-  drive_to_completion(engine, exec);
-  return exec->count;
+  return query_count(query, origin);
 }
 
 // --- Aggregation pushdown (DESIGN.md 4g) ------------------------------------
@@ -1103,27 +1027,14 @@ QueryResult SquidSystem::query_aggregate(const keyword::Query& query,
   // Same planning as query() — identical routing, fault draws, and timing —
   // only the scan sites fold instead of shipping. That makes pushdown-vs-
   // ship-all comparisons (bench/abl_aggregation) apples to apples.
-  validate_aggregate(spec);
-  sim::Engine engine(fault_ ? fault_->now() : 0);
-  engine.set_fault_injector(fault_);
-  auto exec = start_exec(engine, DeliveryMode::kLockstep, query, origin,
-                         /*count_only=*/false, /*want_trace=*/trace_enabled_,
-                         /*publish=*/true, /*arm_guard=*/true, &spec);
-  begin_resolution(exec, /*allow_point=*/true);
-  drive_to_completion(engine, exec);
-  return std::move(exec->result);
+  return run_lockstep(query, origin, &spec);
 }
 
 QueryHandle SquidSystem::query_aggregate_async(const keyword::Query& query,
                                                const AggregateSpec& spec,
                                                NodeId origin,
                                                sim::Engine& engine) const {
-  validate_aggregate(spec);
-  auto exec = start_exec(engine, DeliveryMode::kVirtualTime, query, origin,
-                         /*count_only=*/false, /*want_trace=*/trace_enabled_,
-                         /*publish=*/true, /*arm_guard=*/true, &spec);
-  begin_resolution(exec, /*allow_point=*/true);
-  return QueryHandle(exec);
+  return launch_async(query, origin, engine, &spec);
 }
 
 std::uint64_t SquidSystem::query_count(const keyword::Query& query,
@@ -1187,8 +1098,7 @@ QueryResult SquidSystem::query_centralized(const keyword::Query& query,
   ex.sys = this;
   ex.config = &config_;
   ex.origin = origin;
-  ex.rect = space_.to_rect(query);
-  refiner_.validate_query(ex.rect);
+  ex.rect = query_rect(query);
   ex.dispatch_budget = 64 * (ring_.size() + 8) + 4 * max_segments;
   ex.routing.insert(origin);
   ex.processing.insert(origin);

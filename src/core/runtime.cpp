@@ -8,26 +8,31 @@
 
 #include "squid/core/runtime.hpp"
 
+#include <iterator>
+#include <utility>
+
 #include "squid/core/parallel.hpp"
 #include "squid/core/system.hpp"
 #include "squid/sim/fault.hpp"
 
 namespace squid::core {
 
-QueryExec::Leg QueryExec::attempt_leg(NodeId from, NodeId to) {
+QueryExec::Leg QueryExec::judge_leg(sim::Engine& engine,
+                                    const SquidConfig& config, NodeId from,
+                                    NodeId to) {
   Leg out;
-  sim::FaultInjector* fault = engine->fault_injector();
+  sim::FaultInjector* fault = engine.fault_injector();
   if (fault == nullptr) return out;
-  const unsigned attempts = 1 + config->send_retries;
+  const unsigned attempts = 1 + config.send_retries;
   for (unsigned a = 0; a < attempts; ++a) {
-    const sim::SendOutcome verdict = engine->admit(from, to);
+    const sim::SendOutcome verdict = engine.admit(from, to);
     if (verdict.delivered) {
       out.penalty += verdict.extra_delay;
       out.extra_messages = out.resends + (verdict.duplicate ? 1 : 0);
       return out;
     }
     if (a + 1 < attempts) {
-      out.penalty += config->retry_backoff << a;
+      out.penalty += config.retry_backoff << a;
       ++out.resends;
     }
   }
@@ -71,6 +76,42 @@ void QueryExec::fail_leg(std::size_t resends, sim::Time penalty,
   }
 }
 
+void QueryExec::absorb_scan(ScanBuffer& scan) {
+  processing.insert(scan.at);
+  if (scan.keys_matched > 0) data_nodes.insert(scan.at);
+  if (agg) {
+    agg_scans[scan.slot] = std::move(scan.agg);
+  } else {
+    if (results.empty()) {
+      results = std::move(scan.elements);
+    } else {
+      results.insert(results.end(),
+                     std::make_move_iterator(scan.elements.begin()),
+                     std::make_move_iterator(scan.elements.end()));
+    }
+    bytes_shipped += scan.reply_bytes;
+    reply_messages += scan.reply_frames;
+  }
+  if (telemetry != nullptr) {
+    if (!agg)
+      telemetry->record(scan.at, obs::LoadKind::kReplyForwarded,
+                        scan.reply_frames, tick(scan.event));
+    telemetry->record(scan.at, obs::LoadKind::kScanHit, scan.keys_matched,
+                      tick(scan.event));
+  }
+  if (trace) {
+    const std::int32_t id = trace->begin(obs::SpanKind::kLocalScan, scan.span,
+                                         scan.event, tick(scan.event));
+    obs::Span& s = trace->at(id);
+    s.node = scan.at;
+    s.range_lo = scan.segment.lo;
+    s.range_hi = scan.segment.hi;
+    s.keys_scanned = scan.keys_scanned;
+    s.keys_matched = scan.keys_matched;
+    s.matches = scan.matches;
+  }
+}
+
 namespace {
 
 /// Timing-DAG event a message delivers under; -1 for a Reply (replies are
@@ -107,13 +148,10 @@ void NodeRuntime::post(const std::shared_ptr<QueryExec>& exec,
   if (auto* scan = std::get_if<msg::ScanRequest>(&message); scan && ex.agg) {
     // Aggregate pushdown: stamp the spec so the scan site folds instead of
     // shipping, and assign the scan's record slot in post order (identical
-    // across delivery modes; kParallel allocates from its own scan deque,
-    // which is filled in the same post order).
+    // across delivery modes, whatever order the scans later deliver in).
     scan->agg = *ex.agg;
-    if (ex.mode != DeliveryMode::kParallel) {
-      scan->slot = static_cast<std::uint32_t>(ex.agg_scans.size());
-      ex.agg_scans.emplace_back();
-    }
+    scan->slot = static_cast<std::uint32_t>(ex.agg_scans.size());
+    ex.agg_scans.emplace_back();
   }
   if (ex.mode == DeliveryMode::kParallel) {
     // Scans are order-insensitive store sweeps: hand them off to the shard
@@ -163,7 +201,12 @@ void NodeRuntime::deliver(const std::shared_ptr<QueryExec>& exec,
                               d.span);
     }
     void operator()(const msg::ScanRequest& s) const {
-      rt.sys_->perform_scan(*exec, s);
+      // Lend the query's results to the buffer so the sweep appends in
+      // place (absorb hands them back): no second copy of every element.
+      ScanBuffer buffer;
+      buffer.elements.swap(exec->results);
+      rt.sys_->sweep_scan(*exec, s, buffer);
+      exec->absorb_scan(buffer);
     }
     void operator()(const msg::Reply&) const {
       rt.sys_->finalize_query(*exec);
@@ -196,7 +239,7 @@ void NodeRuntime::maybe_complete(const std::shared_ptr<QueryExec>& exec) const {
   reply.from = ex.origin;
   reply.to = ex.origin;
   reply.complete = ex.complete;
-  reply.count = ex.count_only ? ex.count : ex.results.size();
+  reply.count = ex.results.size();
   // Result data accumulated at the origin as scans delivered; the in-memory
   // Reply is the completion marker and carries only the summary. (On the
   // wire — serialize.cpp — a Reply ships elements too.)

@@ -19,6 +19,7 @@
 #include "squid/core/update.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <thread>
 
 #include "squid/core/parallel.hpp"
@@ -50,10 +51,9 @@ struct PlannedOp {
 };
 
 /// Plan one op: route its key from the origin, then pay for the frame's
-/// transmission leg under this op's forked injector — the same
-/// 1+send_retries admit loop with exponential backoff that query legs use
-/// (QueryExec::attempt_leg), judged at virtual time 0 so the verdict stream
-/// depends only on (plan, seq), never on the mode's clock.
+/// transmission leg under this op's forked injector — judged by the same
+/// QueryExec::judge_leg that query legs use, at virtual time 0 so the
+/// verdict stream depends only on (plan, seq), never on the mode's clock.
 PlannedOp plan_op(const SquidSystem& sys, const UpdateOp& op,
                   std::uint64_t seq, const sim::FaultPlan* faults) {
   PlannedOp out;
@@ -67,38 +67,40 @@ PlannedOp plan_op(const SquidSystem& sys, const UpdateOp& op,
   const std::size_t frame_bytes =
       update_wire_size(op.kind, seq, op.origin, route.dest, op.element);
 
-  bool delivered = true;
-  sim::Time penalty = 0;
-  std::size_t resends = 0;
-  bool duplicate = false;
+  QueryExec::Leg leg;
   if (faults != nullptr) {
     sim::FaultInjector injector(sim::fork_plan(*faults, seq));
     sim::Engine eng(0);
     eng.set_fault_injector(&injector);
-    delivered = false;
-    const SquidConfig& cfg = sys.config();
-    const unsigned attempts = 1 + cfg.send_retries;
-    for (unsigned a = 0; a < attempts; ++a) {
-      const sim::SendOutcome verdict = eng.admit(op.origin, route.dest);
-      if (verdict.delivered) {
-        penalty += verdict.extra_delay;
-        duplicate = verdict.duplicate;
-        delivered = true;
-        break;
-      }
-      if (a + 1 < attempts) {
-        penalty += cfg.retry_backoff << a;
-        ++resends;
-      }
-    }
-    if (!delivered) injector.report_timeout(op.origin, route.dest);
+    leg = QueryExec::judge_leg(eng, sys.config(), op.origin, route.dest);
   }
-  out.result.delivered = delivered;
-  out.result.retries = resends;
-  out.result.messages = 1 + resends + (duplicate ? 1 : 0);
+  out.result.delivered = leg.delivered;
+  out.result.retries = leg.resends;
+  // A lost frame paid its resends; a delivered one also any duplicate.
+  out.result.messages =
+      1 + (leg.delivered ? leg.extra_messages : leg.resends);
   out.result.bytes = frame_bytes * out.result.messages;
-  out.arrival = static_cast<sim::Time>(route.hops()) + penalty;
+  out.arrival = static_cast<sim::Time>(route.hops()) + leg.penalty;
   return out;
+}
+
+/// Plan the ops `seqs` (in order) and deliver each delivered frame on a
+/// private engine at its arrival tick, stamping completed_at off that
+/// clock. kVirtualTime runs it once over every op; kParallel once per
+/// shard over the shard's subsequence.
+void plan_and_drain(const SquidSystem& sys, const std::vector<UpdateOp>& ops,
+                    const std::vector<std::size_t>& seqs,
+                    const sim::FaultPlan* faults,
+                    std::vector<PlannedOp>& planned) {
+  sim::Engine engine(0);
+  for (const std::size_t seq : seqs) {
+    planned[seq] = plan_op(sys, ops[seq], seq, faults);
+    PlannedOp& p = planned[seq];
+    if (p.result.delivered)
+      engine.schedule(p.arrival,
+                      [&engine, &p]() { p.result.completed_at = engine.now(); });
+  }
+  engine.run();
 }
 
 } // namespace
@@ -123,15 +125,9 @@ UpdateRun apply_updates(SquidSystem& sys, const std::vector<UpdateOp>& ops,
     // One shared clock: every arrival is scheduled at its tick and the
     // engine drains them in (time, FIFO) order, so completion stamps come
     // off the honest interleaved timeline.
-    sim::Engine engine(0);
-    for (std::size_t seq = 0; seq < ops.size(); ++seq) {
-      planned[seq] = plan_op(sys, ops[seq], seq, opts.faults);
-      PlannedOp& p = planned[seq];
-      if (p.result.delivered)
-        engine.schedule(p.arrival,
-                        [&engine, &p]() { p.result.completed_at = engine.now(); });
-    }
-    engine.run();
+    std::vector<std::size_t> all(ops.size());
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    plan_and_drain(sys, ops, all, opts.faults, planned);
     break;
   }
   case DeliveryMode::kParallel: {
@@ -152,18 +148,8 @@ UpdateRun apply_updates(SquidSystem& sys, const std::vector<UpdateOp>& ops,
     std::vector<std::thread> workers;
     workers.reserve(shards);
     for (unsigned s = 0; s < shards; ++s) {
-      workers.emplace_back([&sys, &ops, &opts, &planned,
-                            mine = &by_shard[s]]() {
-        sim::Engine engine(0);
-        for (const std::size_t seq : *mine) {
-          planned[seq] = plan_op(sys, ops[seq], seq, opts.faults);
-          PlannedOp& p = planned[seq];
-          if (p.result.delivered)
-            engine.schedule(p.arrival, [&engine, &p]() {
-              p.result.completed_at = engine.now();
-            });
-        }
-        engine.run();
+      workers.emplace_back([&sys, &ops, &opts, &planned, mine = &by_shard[s]] {
+        plan_and_drain(sys, ops, *mine, opts.faults, planned);
       });
     }
     for (std::thread& w : workers) w.join();

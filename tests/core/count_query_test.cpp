@@ -1,11 +1,35 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "squid/core/parallel.hpp"
 #include "squid/core/system.hpp"
+#include "squid/sim/engine.hpp"
 #include "squid/workload/corpus.hpp"
 
 namespace squid::core {
 namespace {
 
+/// Shard counts for the query_parallel leg: SQUID_PARALLEL_SHARDS as a
+/// comma-separated list, default {1, 2}.
+std::vector<unsigned> shard_counts() {
+  const char* env = std::getenv("SQUID_PARALLEL_SHARDS");
+  std::vector<unsigned> out;
+  if (env != nullptr) {
+    std::istringstream in(env);
+    for (std::string item; std::getline(in, item, ',');)
+      if (const unsigned long n = std::strtoul(item.c_str(), nullptr, 10))
+        out.push_back(static_cast<unsigned>(n));
+  }
+  return out.empty() ? std::vector<unsigned>{1, 2} : out;
+}
+
+// count() is the kCount pushdown: every delivery mode must agree with the
+// element count of query(), for partial-keyword range queries and for the
+// whole-keyword point queries that take the point-lookup fast path.
 TEST(CountQuery, AgreesWithFullQueryAcrossForms) {
   Rng rng(181);
   workload::KeywordCorpus corpus(2, 200, 0.9, rng);
@@ -13,13 +37,40 @@ TEST(CountQuery, AgreesWithFullQueryAcrossForms) {
   sys.build_network(50, rng);
   for (const auto& e : corpus.make_elements(1200, rng)) sys.publish(e);
 
+  AggregateSpec count_spec;
+  count_spec.kind = AggregateKind::kCount;
+  std::vector<ParallelQuerySpec> specs;
+  std::vector<std::size_t> expected;
+  sim::Engine engine(0);
+  std::vector<QueryHandle> handles;
   for (const std::size_t rank : {0u, 3u, 9u, 40u}) {
     for (const bool partial : {true, false}) {
       const keyword::Query q = corpus.q1(rank, partial);
       const auto origin = sys.ring().random_node(rng);
-      EXPECT_EQ(sys.count(q, origin), sys.query(q, origin).stats.matches)
-          << keyword::to_string(q);
+      const std::size_t matches = sys.query(q, origin).stats.matches;
+      EXPECT_EQ(sys.count(q, origin), matches) << keyword::to_string(q);
+      specs.push_back({q, origin, count_spec});
+      expected.push_back(matches);
+      handles.push_back(sys.query_aggregate_async(q, count_spec, origin, engine));
     }
+  }
+
+  // All counts in flight at once on one shared virtual clock.
+  engine.run();
+  for (std::size_t i = 0; i < handles.size(); ++i) {
+    ASSERT_TRUE(handles[i].ready()) << keyword::to_string(specs[i].query);
+    EXPECT_EQ(handles[i].result().aggregate->count, expected[i])
+        << keyword::to_string(specs[i].query) << " [async]";
+  }
+
+  for (const unsigned shards : shard_counts()) {
+    ParallelOptions opts;
+    opts.shards = shards;
+    const ParallelRun run = sys.query_parallel(specs, opts);
+    ASSERT_EQ(run.results.size(), specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i)
+      EXPECT_EQ(run.results[i].aggregate->count, expected[i])
+          << keyword::to_string(specs[i].query) << " [S=" << shards << "]";
   }
 }
 

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "squid/core/parallel.hpp"
 #include "squid/core/system.hpp"
 #include "squid/util/rng.hpp"
 
@@ -148,6 +149,26 @@ TEST(ParallelQuery, GuardTripsWhenCachedQueryOverlaps) {
   EXPECT_GT(threw.load(), 0) << "overlapping cached queries never collided; "
                                 "the guard was not exercised";
   EXPECT_GT(completed.load(), 0);
+}
+
+TEST(ParallelQuery, MalformedQueryThrowsOnCallerThread) {
+  // A query with more terms than the space has dimensions must fail the
+  // same way in every entry point: query() throws, and query_parallel must
+  // throw on the caller's thread before any shard worker starts (a throw
+  // on a worker would terminate the process).
+  Rng rng(0xbad);
+  const SquidSystem sys = make_loaded_system(/*cache=*/false, rng);
+  keyword::Query q = sys.space().parse("(a*, *)");
+  q.terms.push_back(q.terms.front());
+  const NodeId origin = sys.ring().random_node(rng);
+  EXPECT_THROW((void)sys.query(q, origin), std::invalid_argument);
+
+  std::vector<ParallelQuerySpec> specs(1);
+  specs[0].query = q;
+  specs[0].origin = origin;
+  ParallelOptions opts;
+  opts.shards = 2;
+  EXPECT_THROW((void)sys.query_parallel(specs, opts), std::invalid_argument);
 }
 
 } // namespace
