@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include "squid/core/system.hpp"
+#include "squid/core/update.hpp"
 #include "squid/workload/corpus.hpp"
 
 namespace {
@@ -35,12 +36,12 @@ void BM_Publish(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
-void BM_PublishRouted(benchmark::State& state) {
+void BM_PublishUpdate(benchmark::State& state) {
   World world = make_world(1000, 0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        world.sys->publish_routed(world.corpus->make_element(world.rng),
-                                  world.sys->ring().random_node(world.rng)));
+    benchmark::DoNotOptimize(core::publish_update(
+        *world.sys, world.corpus->make_element(world.rng),
+        world.sys->ring().random_node(world.rng)));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
@@ -66,7 +67,7 @@ void BM_QueryExactKeyword(benchmark::State& state) {
 } // namespace
 
 BENCHMARK(BM_Publish);
-BENCHMARK(BM_PublishRouted);
+BENCHMARK(BM_PublishUpdate);
 BENCHMARK(BM_QueryPartialKeyword)->Arg(1000)->Arg(5000)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_QueryExactKeyword)->Arg(1000)->Arg(5000)

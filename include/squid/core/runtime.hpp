@@ -36,6 +36,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -240,13 +241,52 @@ struct QueryExec {
                std::int32_t span);
 
   /// Account a leg abandoned for good. The original send was already paid
-  /// at the call site together with its route/cache span (or never happened
+  /// by forward/dispatch_head together with its span (or never happened
   /// — an unroutable key — in which case `resends` is 0); the `resends`
   /// further copies paid here were all lost too, and `units` sub-queries go
   /// unanswered. The fault span mirrors it for derive_stats (messages and
   /// retries += span.messages, failed_clusters += span.batch).
   void fail_leg(std::size_t resends, sim::Time penalty, std::size_t units,
                 NodeId to, std::int32_t event, std::int32_t span);
+
+  /// Take one unit of the dispatch budget. Once it is spent the query is
+  /// marked incomplete and the caller stops sending (returns false).
+  bool spend_dispatch() {
+    if (dispatch_budget == 0) {
+      complete = false;
+      return false;
+    }
+    --dispatch_budget;
+    return true;
+  }
+
+  /// Where a forwarded message landed (forward).
+  struct Arrival {
+    bool delivered = false;
+    NodeId at = 0;          ///< the receiver
+    std::int32_t event = 0; ///< its arrival event in the timing DAG
+    std::int32_t span = -1; ///< its kRouteHop span (caller's when untraced)
+  };
+
+  /// Send one planned message whose receiver continues the walk: a routed
+  /// sub-query (`path` is the route, sender first, receiver last) or a
+  /// one-hop forward along an owner chain (`path` = {at, next}). The one
+  /// accounting site for these sends: the message count, the routing set,
+  /// route-through telemetry per path node, a kRouteHop span under `span`,
+  /// and the leg's verdict (pay_leg + reply-tree edge, or fail_leg). The
+  /// arrival event sits path-hops plus the leg penalty after `event`.
+  Arrival forward(std::span<const NodeId> path, std::int32_t event,
+                  std::int32_t span);
+
+  /// Send the head sub-query of a cluster dispatch along `path` (the route
+  /// to the owner, or {from, peer} when a cache resolved it): the same
+  /// accounting as forward, with the span — kRouteHop, or kCacheHit at the
+  /// cluster's `level` plus a kCacheHit load on the sender — opened under
+  /// the dispatch span at the send event. A lost leg lands its backoff in
+  /// the timing DAG before fail_leg. Returns the leg; the caller schedules
+  /// what the head's arrival carries.
+  Leg dispatch_head(std::span<const NodeId> path, bool cache_hit,
+                    unsigned level, std::int32_t event, std::int32_t span);
 
   /// Merge one swept scan (SquidSystem::sweep_scan) into this query: the
   /// processing/data node sets, the elements or the aggregate record, the

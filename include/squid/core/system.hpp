@@ -96,21 +96,10 @@ public:
   /// fixtures load their 2·10^4-10^5-key corpora.
   void publish_batch(const std::vector<DataElement>& elements);
 
-  /// Protocol-faithful publish: routes the element's key from `origin` to
-  /// its owner; the result carries the overlay path.
-  overlay::RouteResult publish_routed(const DataElement& element,
-                                      NodeId origin);
-
   /// Remove one published element (matched by name AND keys). Returns true
   /// when something was removed; the key vanishes with its last element.
   /// O(log K + |delta|) amortized: the slot is tombstoned, not shifted out.
   bool unpublish(const DataElement& element);
-
-  /// Protocol-faithful retract: routes the element's key from `origin` to
-  /// its owner, then unpublishes there. `removed` (when non-null) reports
-  /// whether the owner actually held the element.
-  overlay::RouteResult retract_routed(const DataElement& element,
-                                      NodeId origin, bool* removed = nullptr);
 
   std::size_t key_count() const noexcept { return store_.size(); }
   std::size_t element_count() const noexcept { return element_count_; }
@@ -396,9 +385,15 @@ private:
   /// The query's rectangle, validated once (per-node paths trust it).
   /// Throws std::invalid_argument for malformed queries.
   sfc::Rect query_rect(const keyword::Query& query) const;
-  /// Build a query's exec: validated rectangle (and aggregate spec, when
-  /// given), cache guard armed while cache_cluster_owners is on, trace and
-  /// telemetry scratch per the system's current settings, registry
+  /// The setup every query exec shares: identity and wiring, the validated
+  /// rectangle, the dispatch budget, the origin in the routing set, and the
+  /// root span while tracing. query_centralized (a baseline) uses it alone.
+  std::shared_ptr<QueryExec> make_exec(sim::Engine& engine, DeliveryMode mode,
+                                       const keyword::Query& query,
+                                       NodeId origin) const;
+  /// Build a live query's exec: make_exec plus the validated aggregate
+  /// spec (when given), the cache guard while cache_cluster_owners is on,
+  /// telemetry scratch while a sampler is attached, and registry
   /// publishing at finalize.
   std::shared_ptr<QueryExec> start_exec(sim::Engine& engine, DeliveryMode mode,
                                         const keyword::Query& query,

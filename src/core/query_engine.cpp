@@ -20,10 +20,14 @@
 // task deque), and defer only the order-insensitive store sweeps as
 // ScanRequest messages.
 //
-// Observability (DESIGN.md 4c): every accounting site below pairs its
-// QueryStats mutation with a trace span carrying the same quantities, so
+// Observability (DESIGN.md 4c): every accounting site pairs its QueryStats
+// mutation with a trace span carrying the same quantities, so
 // obs::derive_stats can rebuild the legacy aggregates bit-identically from
 // the trace alone (tests/obs/trace_differential_test.cpp enforces this).
+// The planner below only decides where messages go; each send is recorded
+// (count, routing set, telemetry, span, leg verdict) by one of two
+// QueryExec methods: forward (routed sub-query or owner-chain hop) and
+// dispatch_head (a cluster dispatch's head, routed or cache-resolved).
 // With SQUID_OBS_ENABLED=0 the exec's trace pointer is a constexpr nullptr
 // and every `if (ex.trace)` branch folds away.
 
@@ -276,91 +280,29 @@ void SquidSystem::plan_chain(const std::shared_ptr<QueryExec>& exec,
   QueryExec& ex = *exec;
   const NodeRuntime runtime(this);
   const NodeId pred = ring_.predecessor_of(at);
+  // The owner being scanned; when `at` does not own seg.lo, routing to the
+  // segment's first owner is the walk's first send.
+  QueryExec::Arrival owner{true, at, event, span};
   if (!in_open_closed(pred, at, seg.lo)) {
-    if (ex.dispatch_budget == 0) {
-      ex.complete = false;
-      return;
-    }
-    --ex.dispatch_budget;
+    if (!ex.spend_dispatch()) return;
     const overlay::RouteResult r = ring_.route(at, seg.lo);
     if (!r.ok) {
       ex.fail_leg(0, 0, 1, at, event, span);
       return;
     }
-    ex.messages += 1;
-    ex.routing.insert(r.path.begin(), r.path.end());
-    if (ex.telemetry != nullptr)
-      for (const NodeId hop : r.path)
-        ex.telemetry->record(hop, obs::LoadKind::kRouteThrough, 1,
-                             ex.tick(event));
-    const QueryExec::Leg leg = ex.attempt_leg(at, r.dest);
-    const sim::Time sent = ex.tick(event);
-    const std::int32_t arrive = ex.add_event(
-        event, r.hops() + static_cast<std::size_t>(leg.penalty));
-    if (ex.trace) {
-      const std::int32_t id =
-          ex.trace->begin(obs::SpanKind::kRouteHop, span, arrive, sent);
-      ex.trace->set_path(id, r.path.begin(), r.path.end());
-      obs::Span& s = ex.trace->at(id);
-      s.node = r.dest;
-      s.hops = static_cast<std::uint32_t>(r.hops());
-      s.messages = 1;
-      s.end = ex.tick(arrive);
-      span = id;
-    }
-    if (!leg.delivered) {
-      ex.fail_leg(leg.resends, leg.penalty, 1, r.dest, event, span);
-      return;
-    }
-    ex.pay_leg(leg, r.dest, event, span);
-    ex.note_reply_parent(r.dest, at);
-    at = r.dest;
-    event = arrive;
+    owner = ex.forward(r.path, event, span);
   }
-  for (;;) {
-    const sfc::Segment local = clip_local(at, seg);
-    runtime.post(exec, msg::ScanRequest{ex.id, at, local, covered, {}, 0,
-                                        event, span});
-    if (entirely_local(at, seg)) return;
-    if (ex.dispatch_budget == 0) {
-      ex.complete = false;
-      return;
-    }
-    --ex.dispatch_budget;
-    const NodeId next = ring_.successor_of((at + 1) & ring_.id_mask());
-    const QueryExec::Leg leg = ex.attempt_leg(at, next);
-    ex.messages += 1;
-    ex.routing.insert(at);
-    ex.routing.insert(next);
-    if (ex.telemetry != nullptr) {
-      ex.telemetry->record(at, obs::LoadKind::kRouteThrough, 1, ex.tick(event));
-      ex.telemetry->record(next, obs::LoadKind::kRouteThrough, 1,
-                           ex.tick(event));
-    }
+  while (owner.delivered) {
+    const sfc::Segment local = clip_local(owner.at, seg);
+    runtime.post(exec, msg::ScanRequest{ex.id, owner.at, local, covered, {},
+                                        0, owner.event, owner.span});
+    if (entirely_local(owner.at, seg)) return;
+    if (!ex.spend_dispatch()) return;
     seg.lo = local.hi + 1;
-    const sim::Time sent = ex.tick(event);
-    const std::int32_t arrive = ex.add_event(
-        event, 1 + static_cast<std::size_t>(leg.penalty)); // neighbor forward
-    if (ex.trace) {
-      const std::int32_t id =
-          ex.trace->begin(obs::SpanKind::kRouteHop, span, arrive, sent);
-      ex.trace->add_path_node(id, at);
-      ex.trace->add_path_node(id, next);
-      obs::Span& s = ex.trace->at(id);
-      s.node = next;
-      s.hops = 1;
-      s.messages = 1;
-      s.end = ex.tick(arrive);
-      span = id;
-    }
-    if (!leg.delivered) {
-      ex.fail_leg(leg.resends, leg.penalty, 1, next, event, span);
-      return;
-    }
-    ex.pay_leg(leg, next, event, span);
-    ex.note_reply_parent(next, at);
-    at = next;
-    event = arrive;
+    // Neighbor forward: one hop to the next owner in ring order.
+    const NodeId hop[] = {
+        owner.at, ring_.successor_of((owner.at + 1) & ring_.id_mask())};
+    owner = ex.forward(hop, owner.event, owner.span);
   }
 }
 
@@ -377,12 +319,9 @@ void SquidSystem::dispatch_clusters(
   const NodeRuntime runtime(this);
   std::size_t i = 0;
   while (i < clusters.size()) {
-    if (ex.dispatch_budget == 0) {
-      ex.complete = false;
-      return;
-    }
-    --ex.dispatch_budget;
+    if (!ex.spend_dispatch()) return;
     const u128 head_lo = clusters[i].first;
+    const sfc::ClusterNode& head = clusters[i].second;
 
     // The dispatch span opens before its outcome is known; route/cache
     // consult spans nest under it. A failed route leaves it zero-cost.
@@ -391,7 +330,7 @@ void SquidSystem::dispatch_clusters(
       dspan = ex.trace->begin(obs::SpanKind::kClusterDispatch, span, event,
                               ex.tick(event));
       obs::Span& s = ex.trace->at(dspan);
-      s.level = clusters[i].second.level;
+      s.level = head.level;
       s.range_lo = head_lo;
       s.range_hi = head_lo;
     }
@@ -407,150 +346,77 @@ void SquidSystem::dispatch_clusters(
     // empty() check — the reaction layer's bit-transparency lock
     // (tests/core/reaction_test.cpp) rests on that.
     if (!replica_cache_.empty()) {
-      if (const ReplicaEntry* entry = replica_serving(clusters[i].second)) {
+      if (const ReplicaEntry* entry = replica_serving(head)) {
         const NodeId replica = entry->replicas[static_cast<std::size_t>(
-            (clusters[i].second.prefix + ex.origin) %
-            entry->replicas.size())];
+            (head.prefix + ex.origin) % entry->replicas.size())];
         replica_counters_->serves.fetch_add(1, std::memory_order_relaxed);
-        ex.messages += 1; // one direct message, no overlay routing
-        ex.routing.insert(from);
-        ex.routing.insert(replica);
-        if (ex.telemetry != nullptr) {
-          ex.telemetry->record(from, obs::LoadKind::kCacheHit, 1,
-                               ex.tick(event));
-          ex.telemetry->record(from, obs::LoadKind::kRouteThrough, 1,
-                               ex.tick(event));
-          ex.telemetry->record(replica, obs::LoadKind::kRouteThrough, 1,
-                               ex.tick(event));
+        const NodeId direct[] = {from, replica};
+        const QueryExec::Leg leg = ex.dispatch_head(
+            direct, /*cache_hit=*/true, head.level, event, dspan);
+        if (leg.delivered) {
+          const std::int32_t arrive =
+              ex.add_event(event, 1 + static_cast<std::size_t>(leg.penalty));
+          if (ex.trace) {
+            obs::Span& s = ex.trace->at(dspan);
+            s.node = replica;
+            s.event = arrive;
+            s.batch = 1;
+            s.hops = 1;
+            s.messages = 0;
+            s.range_hi = head_lo;
+            s.end = ex.tick(arrive);
+          }
+          // The replica answers the whole cluster from its snapshot: one
+          // scan over the cluster's segment, rectangle-filtered (the
+          // snapshot holds every key in the segment, matching or not).
+          runtime.post(exec, msg::ScanRequest{ex.id, replica,
+                                              refiner_.segment_of(head),
+                                              /*covered=*/false, {}, 0,
+                                              arrive, dspan, entry->id});
         }
-        if (ex.trace) {
-          const std::int32_t id = ex.trace->begin(obs::SpanKind::kCacheHit,
-                                                  dspan, event,
-                                                  ex.tick(event));
-          ex.trace->add_path_node(id, from);
-          ex.trace->add_path_node(id, replica);
-          obs::Span& s = ex.trace->at(id);
-          s.node = replica;
-          s.level = clusters[i].second.level;
-          s.messages = 1;
-          s.end = s.start + 1; // direct send: one hop
-        }
-        const QueryExec::Leg leg = ex.attempt_leg(from, replica);
-        if (!leg.delivered) {
-          ex.add_event(event, static_cast<std::size_t>(leg.penalty));
-          ex.fail_leg(leg.resends, leg.penalty, 1, replica, event, dspan);
-          ++i;
-          continue;
-        }
-        ex.pay_leg(leg, replica, event, dspan);
-        ex.note_reply_parent(replica, from);
-        const std::int32_t arrive =
-            ex.add_event(event, 1 + static_cast<std::size_t>(leg.penalty));
-        if (ex.trace) {
-          obs::Span& s = ex.trace->at(dspan);
-          s.node = replica;
-          s.event = arrive;
-          s.batch = 1;
-          s.hops = 1;
-          s.messages = 0;
-          s.range_hi = head_lo;
-          s.end = ex.tick(arrive);
-        }
-        // The replica answers the whole cluster from its snapshot: one scan
-        // over the cluster's segment, rectangle-filtered (the snapshot holds
-        // every key in the segment, matching or not).
-        runtime.post(exec, msg::ScanRequest{
-                               ex.id, replica,
-                               refiner_.segment_of(clusters[i].second),
-                               /*covered=*/false, {}, 0, arrive, dspan,
-                               entry->id});
         ++i;
         continue;
       }
     }
 
-    NodeId dest = 0;
-    bool resolved = false;
+    // Owner-cache consult: only the dispatching peer's own memory of past
+    // replies. A hit is one direct message to the remembered owner.
+    overlay::RouteResult route;
     bool from_cache = false;
     if (config_.cache_cluster_owners) {
-      // Consult only the dispatching peer's own memory of past replies.
       const auto cache_it = owner_cache_.find(from);
       if (cache_it != owner_cache_.end()) {
-        const auto hit = cache_it->second.find(
-            {clusters[i].second.level, clusters[i].second.prefix});
+        const auto hit = cache_it->second.find({head.level, head.prefix});
         if (hit != cache_it->second.end() && ring_.contains(hit->second) &&
             in_open_closed(ring_.predecessor_of(hit->second), hit->second,
                            head_lo)) {
-          dest = hit->second;
-          resolved = true;
           from_cache = true;
           ++cache_stats_.hits;
-          ex.messages += 1; // one direct message, no overlay routing
-          ex.routing.insert(from);
-          ex.routing.insert(dest);
-          if (ex.telemetry != nullptr) {
-            ex.telemetry->record(from, obs::LoadKind::kCacheHit, 1,
-                                 ex.tick(event));
-            ex.telemetry->record(from, obs::LoadKind::kRouteThrough, 1,
-                                 ex.tick(event));
-            ex.telemetry->record(dest, obs::LoadKind::kRouteThrough, 1,
-                                 ex.tick(event));
-          }
-          if (ex.trace) {
-            const std::int32_t id = ex.trace->begin(
-                obs::SpanKind::kCacheHit, dspan, event, ex.tick(event));
-            ex.trace->add_path_node(id, from);
-            ex.trace->add_path_node(id, dest);
-            obs::Span& s = ex.trace->at(id);
-            s.node = dest;
-            s.level = clusters[i].second.level;
-            s.messages = 1;
-            s.end = s.start + 1; // direct send: one hop
-          }
+          route = overlay::RouteResult{true, hit->second, {from, hit->second}};
         } else if (hit != cache_it->second.end()) {
           ++cache_stats_.stale;
           cache_it->second.erase(hit);
         }
       }
-      if (!resolved) {
+      if (!from_cache) {
         ++cache_stats_.misses;
         if (ex.trace) {
           const std::int32_t id = ex.trace->begin(
               obs::SpanKind::kCacheMiss, dspan, event, ex.tick(event));
           obs::Span& s = ex.trace->at(id);
           s.node = from;
-          s.level = clusters[i].second.level;
+          s.level = head.level;
         }
       }
     }
-
-    std::size_t dispatch_hops = 1; // direct send when the cache resolved it
-    if (!resolved) {
-      const overlay::RouteResult r = ring_.route(from, head_lo);
-      if (!r.ok) {
+    if (!from_cache) {
+      route = ring_.route(from, head_lo);
+      if (!route.ok) {
         // Unroutable under churn: abandon only this head cluster and keep
         // dispatching the rest (the seed abandoned the whole remainder).
         ex.fail_leg(0, 0, 1, from, event, dspan);
         ++i;
         continue;
-      }
-      ex.messages += 1; // the head sub-query
-      ex.routing.insert(r.path.begin(), r.path.end());
-      if (ex.telemetry != nullptr)
-        for (const NodeId hop : r.path)
-          ex.telemetry->record(hop, obs::LoadKind::kRouteThrough, 1,
-                               ex.tick(event));
-      dest = r.dest;
-      dispatch_hops = std::max<std::size_t>(r.hops(), 1);
-      if (ex.trace) {
-        const std::int32_t id = ex.trace->begin(obs::SpanKind::kRouteHop,
-                                                dspan, event, ex.tick(event));
-        ex.trace->set_path(id, r.path.begin(), r.path.end());
-        obs::Span& s = ex.trace->at(id);
-        s.node = dest;
-        s.hops = static_cast<std::uint32_t>(r.hops());
-        s.messages = 1;
-        s.end = s.start + r.hops();
       }
     }
 
@@ -558,17 +424,14 @@ void SquidSystem::dispatch_clusters(
     // may need resends or be lost for good. A lost head drops only its own
     // cluster: no identifier reply arrives, so no batch forms, and the
     // would-be siblings are dispatched individually by later iterations.
-    const QueryExec::Leg leg = ex.attempt_leg(from, dest);
+    const QueryExec::Leg leg =
+        ex.dispatch_head(route.path, from_cache, head.level, event, dspan);
     if (!leg.delivered) {
-      // The backoff waits still burn wall-clock at the dispatcher: land them
-      // in the timing DAG so trace-derived and engine critical paths agree.
-      ex.add_event(event, static_cast<std::size_t>(leg.penalty));
-      ex.fail_leg(leg.resends, leg.penalty, 1, dest, event, dspan);
       ++i;
       continue;
     }
-    ex.pay_leg(leg, dest, event, dspan);
-    ex.note_reply_parent(dest, from);
+    const NodeId dest = route.dest;
+    const std::size_t dispatch_hops = std::max<std::size_t>(route.hops(), 1);
 
     std::size_t batch_end = i + 1;
     bool reply_message = false;
@@ -578,8 +441,7 @@ void SquidSystem::dispatch_clusters(
         reply_message = true;
       }
       if (config_.cache_cluster_owners) {
-        owner_cache_[from][{clusters[i].second.level,
-                            clusters[i].second.prefix}] = dest;
+        owner_cache_[from][{head.level, head.prefix}] = dest;
       }
       const NodeId dest_pred = ring_.predecessor_of(dest);
       while (batch_end < clusters.size() &&
@@ -617,7 +479,7 @@ void SquidSystem::dispatch_clusters(
     dispatch.query = ex.id;
     dispatch.from = from;
     dispatch.to = dest;
-    dispatch.head = clusters[i].second;
+    dispatch.head = head;
     dispatch.batch.clusters.reserve(batch_end - i - 1);
     for (std::size_t k = i + 1; k < batch_end; ++k)
       dispatch.batch.clusters.push_back(clusters[k].second);
@@ -645,6 +507,18 @@ void SquidSystem::handle_resolve(const std::shared_ptr<QueryExec>& exec,
   }
   const NodeId pred = ring_.predecessor_of(at);
   std::vector<std::pair<u128, sfc::ClusterNode>> remote; // (segment lo, node)
+  // A branch disjoint from the query is dropped here; only the trace sees it.
+  const auto trace_prune = [&](const sfc::ClusterNode& pruned) {
+    if (!ex.trace) return;
+    const sfc::Segment range = refiner_.segment_of(pruned);
+    const std::int32_t id = ex.trace->begin(obs::SpanKind::kPrune, span, event,
+                                            ex.tick(event));
+    obs::Span& s = ex.trace->at(id);
+    s.node = at;
+    s.level = pruned.level;
+    s.range_lo = range.lo;
+    s.range_hi = range.hi;
+  };
 
   // Refine everything assigned to this node as deep as local knowledge
   // allows (paper Figs 6-8): clusters fully inside our key range are matched
@@ -677,16 +551,7 @@ void SquidSystem::handle_resolve(const std::shared_ptr<QueryExec>& exec,
       relation = cursor.relation_to(ex.rect);
     }
     if (relation == CellRelation::disjoint) {
-      if (ex.trace) {
-        const sfc::Segment pruned = refiner_.segment_of(cluster);
-        const std::int32_t id = ex.trace->begin(obs::SpanKind::kPrune, span,
-                                                event, ex.tick(event));
-        obs::Span& s = ex.trace->at(id);
-        s.node = at;
-        s.level = cluster.level;
-        s.range_lo = pruned.lo;
-        s.range_hi = pruned.hi;
-      }
+      trace_prune(cluster);
       continue;
     }
     const sfc::Segment seg = refiner_.segment_of(cluster);
@@ -708,16 +573,7 @@ void SquidSystem::handle_resolve(const std::shared_ptr<QueryExec>& exec,
       const sfc::ClusterNode child{
           (dims >= 128 ? 0 : cluster.prefix << dims) | w, cluster.level + 1};
       if (rel == CellRelation::disjoint) {
-        if (ex.trace) {
-          const sfc::Segment pruned = refiner_.segment_of(child);
-          const std::int32_t id = ex.trace->begin(obs::SpanKind::kPrune, span,
-                                                  event, ex.tick(event));
-          obs::Span& s = ex.trace->at(id);
-          s.node = at;
-          s.level = child.level;
-          s.range_lo = pruned.lo;
-          s.range_hi = pruned.hi;
-        }
+        trace_prune(child);
         continue;
       }
       const u128 child_lo = refiner_.segment_of(child).lo;
@@ -841,10 +697,9 @@ sfc::Rect SquidSystem::query_rect(const keyword::Query& query) const {
   return rect;
 }
 
-std::shared_ptr<QueryExec> SquidSystem::start_exec(
+std::shared_ptr<QueryExec> SquidSystem::make_exec(
     sim::Engine& engine, DeliveryMode mode, const keyword::Query& query,
-    NodeId origin, const AggregateSpec* aggregate) const {
-  if (aggregate != nullptr) validate_aggregate(*aggregate);
+    NodeId origin) const {
   SQUID_REQUIRE(ring_.contains(origin), "query origin is not a live node");
   auto exec = std::make_shared<QueryExec>();
   QueryExec& ex = *exec;
@@ -854,16 +709,8 @@ std::shared_ptr<QueryExec> SquidSystem::start_exec(
   ex.sys = this;
   ex.config = &config_;
   ex.origin = origin;
-  if (config_.cache_cluster_owners) ex.cache_guard.emplace(*cache_writers_);
   ex.rect = query_rect(query);
   ex.dispatch_budget = 64 * (ring_.size() + 8); // churn safety valve
-  ex.publish_metrics = true;
-  if (aggregate != nullptr) {
-    ex.agg = *aggregate;
-    // The origin is the reply tree's root: pre-seeding it means the first
-    // hop away from it records a (child, origin) edge, never a self-edge.
-    ex.reply_seen.insert(origin);
-  }
   ex.routing.insert(origin);
   ex.started_at = engine.now();
 #if SQUID_OBS_ENABLED
@@ -874,6 +721,25 @@ std::shared_ptr<QueryExec> SquidSystem::start_exec(
     ex.trace->at(ex.root_span).node = origin;
     ex.trace->add_path_node(ex.root_span, origin);
   }
+#endif
+  return exec;
+}
+
+std::shared_ptr<QueryExec> SquidSystem::start_exec(
+    sim::Engine& engine, DeliveryMode mode, const keyword::Query& query,
+    NodeId origin, const AggregateSpec* aggregate) const {
+  if (aggregate != nullptr) validate_aggregate(*aggregate);
+  auto exec = make_exec(engine, mode, query, origin);
+  QueryExec& ex = *exec;
+  if (config_.cache_cluster_owners) ex.cache_guard.emplace(*cache_writers_);
+  ex.publish_metrics = true;
+  if (aggregate != nullptr) {
+    ex.agg = *aggregate;
+    // The origin is the reply tree's root: pre-seeding it means the first
+    // hop away from it records a (child, origin) edge, never a self-edge.
+    ex.reply_seen.insert(origin);
+  }
+#if SQUID_OBS_ENABLED
   // Telemetry scratch is armed only while a sampler is attached; with none
   // every recording site is one dead null check.
   if (telemetry_ != nullptr) {
@@ -897,38 +763,15 @@ void SquidSystem::begin_resolution(
     for (const auto& iv : ex.rect.dims) point.push_back(iv.lo);
     const u128 index = curve_->index_of(point);
     const overlay::RouteResult r = ring_.route(ex.origin, index);
-    if (r.ok) {
-      ex.messages += 1;
-      ex.routing.insert(r.path.begin(), r.path.end());
-      if (ex.telemetry != nullptr)
-        for (const NodeId hop : r.path)
-          ex.telemetry->record(hop, obs::LoadKind::kRouteThrough, 1, 0);
-      const QueryExec::Leg leg = ex.attempt_leg(ex.origin, r.dest);
-      const std::int32_t event =
-          ex.add_event(0, r.hops() + static_cast<std::size_t>(leg.penalty));
-      std::int32_t span = ex.root_span;
-      if (ex.trace) {
-        const std::int32_t id =
-            ex.trace->begin(obs::SpanKind::kRouteHop, ex.root_span, event, 0);
-        ex.trace->set_path(id, r.path.begin(), r.path.end());
-        obs::Span& s = ex.trace->at(id);
-        s.node = r.dest;
-        s.hops = static_cast<std::uint32_t>(r.hops());
-        s.messages = 1;
-        s.end = ex.tick(event);
-        span = id;
-      }
-      if (leg.delivered) {
-        ex.pay_leg(leg, r.dest, 0, span);
-        ex.note_reply_parent(r.dest, ex.origin);
-        runtime.post(exec,
-                     msg::ScanRequest{ex.id, r.dest, sfc::Segment{index, index},
-                                      /*covered=*/true, {}, 0, event, span});
-      } else {
-        ex.fail_leg(leg.resends, leg.penalty, 1, r.dest, 0, span);
-      }
-    } else {
+    if (!r.ok) {
       ex.fail_leg(0, 0, 1, ex.origin, 0, ex.root_span);
+    } else if (const QueryExec::Arrival owner =
+                   ex.forward(r.path, 0, ex.root_span);
+               owner.delivered) {
+      runtime.post(exec, msg::ScanRequest{ex.id, owner.at,
+                                          sfc::Segment{index, index},
+                                          /*covered=*/true, {}, 0, owner.event,
+                                          owner.span});
     }
   } else {
     // The origin assigns itself the refinement-tree root.
@@ -1087,22 +930,14 @@ std::vector<TopEntry> SquidSystem::query_top_k(const keyword::Query& query,
 QueryResult SquidSystem::query_centralized(const keyword::Query& query,
                                            NodeId origin,
                                            std::size_t max_segments) const {
-  SQUID_REQUIRE(ring_.contains(origin), "query origin is not a live node");
   sim::Engine engine(fault_ ? fault_->now() : 0);
   engine.set_fault_injector(fault_);
-  auto exec = std::make_shared<QueryExec>();
+  // A baseline, so make_exec alone: no registry metrics, no telemetry
+  // scratch, no cache guard.
+  auto exec = make_exec(engine, DeliveryMode::kLockstep, query, origin);
   QueryExec& ex = *exec;
-  ex.id = next_query_id();
-  ex.mode = DeliveryMode::kLockstep;
-  ex.engine = &engine;
-  ex.sys = this;
-  ex.config = &config_;
-  ex.origin = origin;
-  ex.rect = query_rect(query);
-  ex.dispatch_budget = 64 * (ring_.size() + 8) + 4 * max_segments;
-  ex.routing.insert(origin);
+  ex.dispatch_budget += 4 * max_segments;
   ex.processing.insert(origin);
-  ex.started_at = engine.now();
 
   // The origin expands the refinement tree by itself (paper 3.4.1's
   // unscalable straw man) and sends one message per cluster. Segments are
@@ -1111,20 +946,13 @@ QueryResult SquidSystem::query_centralized(const keyword::Query& query,
       refiner_.decompose_capped(ex.rect, max_segments);
 
   std::int32_t span = -1;
-#if SQUID_OBS_ENABLED
-  if (trace_enabled_) {
-    ex.recorder.emplace();
-    ex.trace = &*ex.recorder;
-    ex.root_span = ex.trace->begin(obs::SpanKind::kQuery, -1, 0, 0);
-    ex.trace->at(ex.root_span).node = origin;
-    ex.trace->add_path_node(ex.root_span, origin);
+  if (ex.trace) {
     // The origin is the lone processing node; model its decomposition as
     // one refine-descend span so derive_stats sees it.
     span = ex.trace->begin(obs::SpanKind::kRefineDescend, ex.root_span, 0, 0);
     ex.trace->at(span).node = origin;
     ex.trace->at(span).batch = static_cast<std::uint32_t>(segments.size());
   }
-#endif
 
   for (const sfc::Segment& seg : segments) {
     plan_chain(exec, origin, seg, /*covered=*/false, /*event=*/0, span);

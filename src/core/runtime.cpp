@@ -3,8 +3,8 @@
 // The handlers a delivery runs live in query_engine.cpp as SquidSystem
 // methods (they read ring/store/refiner state); this file owns the generic
 // runtime: scheduling arrivals, dispatching on message type, counting
-// outstanding work, and the fault-aware leg accounting shared by every
-// planning site.
+// outstanding work, and the send and fault-aware leg accounting shared by
+// every planning site (forward, dispatch_head, absorb_scan).
 
 #include "squid/core/runtime.hpp"
 
@@ -74,6 +74,87 @@ void QueryExec::fail_leg(std::size_t resends, sim::Time penalty,
     s.hops = static_cast<std::uint32_t>(penalty);
     s.end = s.start + penalty;
   }
+}
+
+namespace {
+
+/// The bookkeeping every planned send shares: one message, its path in the
+/// routing set, and a route-through load on each path node at `tick`.
+void count_send(QueryExec& ex, std::span<const overlay::NodeId> path,
+                sim::Time tick) {
+  ex.messages += 1;
+  ex.routing.insert(path.begin(), path.end());
+  if (ex.telemetry != nullptr)
+    for (const overlay::NodeId hop : path)
+      ex.telemetry->record(hop, obs::LoadKind::kRouteThrough, 1, tick);
+}
+
+} // namespace
+
+QueryExec::Arrival QueryExec::forward(std::span<const NodeId> path,
+                                      std::int32_t event, std::int32_t span) {
+  const NodeId from = path.front();
+  const NodeId to = path.back();
+  const std::size_t hops = path.size() - 1;
+  count_send(*this, path, tick(event));
+  const Leg leg = attempt_leg(from, to);
+  const std::int32_t arrive =
+      add_event(event, hops + static_cast<std::size_t>(leg.penalty));
+  if (trace) {
+    const std::int32_t id =
+        trace->begin(obs::SpanKind::kRouteHop, span, arrive, tick(event));
+    trace->set_path(id, path.begin(), path.end());
+    obs::Span& s = trace->at(id);
+    s.node = to;
+    s.hops = static_cast<std::uint32_t>(hops);
+    s.messages = 1;
+    s.end = tick(arrive);
+    span = id;
+  }
+  if (!leg.delivered) {
+    fail_leg(leg.resends, leg.penalty, 1, to, event, span);
+    return {};
+  }
+  pay_leg(leg, to, event, span);
+  note_reply_parent(to, from);
+  return {true, to, arrive, span};
+}
+
+QueryExec::Leg QueryExec::dispatch_head(std::span<const NodeId> path,
+                                        bool cache_hit, unsigned level,
+                                        std::int32_t event,
+                                        std::int32_t span) {
+  const NodeId from = path.front();
+  const NodeId to = path.back();
+  const std::size_t hops = path.size() - 1;
+  if (cache_hit && telemetry != nullptr)
+    telemetry->record(from, obs::LoadKind::kCacheHit, 1, tick(event));
+  count_send(*this, path, tick(event));
+  if (trace) {
+    const std::int32_t id = trace->begin(
+        cache_hit ? obs::SpanKind::kCacheHit : obs::SpanKind::kRouteHop, span,
+        event, tick(event));
+    trace->set_path(id, path.begin(), path.end());
+    obs::Span& s = trace->at(id);
+    s.node = to;
+    if (cache_hit)
+      s.level = level;
+    else
+      s.hops = static_cast<std::uint32_t>(hops);
+    s.messages = 1;
+    s.end = s.start + hops;
+  }
+  const Leg leg = attempt_leg(from, to);
+  if (leg.delivered) {
+    pay_leg(leg, to, event, span);
+    note_reply_parent(to, from);
+  } else {
+    // The backoff waits still burn wall-clock at the dispatcher: land them
+    // in the timing DAG so trace-derived and engine critical paths agree.
+    add_event(event, static_cast<std::size_t>(leg.penalty));
+    fail_leg(leg.resends, leg.penalty, 1, to, event, span);
+  }
+  return leg;
 }
 
 void QueryExec::absorb_scan(ScanBuffer& scan) {

@@ -191,13 +191,14 @@ msg::AggregateBatch read_batch(std::istream& in) {
   return batch;
 }
 
-// Numeric tokens travel as their raw IEEE bit patterns (decimal uint64,
-// same convention as aggregate partials below): element identity is (key,
-// name) and keys come from the tokens, so a routed retract whose double
-// wobbled by one ulp in transit would silently miss the stored element.
-std::uint64_t token_bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+// Doubles travel as their raw IEEE bit patterns (decimal uint64). Numeric
+// tokens need it because element identity is (key, name) and keys come from
+// the tokens, so a routed retract whose double wobbled by one ulp in transit
+// would silently miss the stored element; aggregate partials need it so
+// pushdown results round-trip bit-exactly.
+std::uint64_t double_bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
-double token_double(std::istream& in, const char* what) {
+double bits_double(std::istream& in, const char* what) {
   std::uint64_t bits = 0;
   in >> bits;
   SQUID_REQUIRE(in, what);
@@ -213,7 +214,7 @@ void write_element(Sink& out, const DataElement& element) {
       out << " s";
       write_string(out, *word);
     } else {
-      out << " n" << token_bits(std::get<double>(token));
+      out << " n" << double_bits(std::get<double>(token));
     }
   }
 }
@@ -240,7 +241,7 @@ DataElement read_element(std::istream& in) {
       element.keys.emplace_back(read_string(in));
     } else if (kind == 'n') {
       element.keys.emplace_back(
-          token_double(in, "message: malformed numeric token"));
+          bits_double(in, "message: malformed numeric token"));
     } else {
       SQUID_REQUIRE(false, "message: unknown token kind");
     }
@@ -257,18 +258,8 @@ std::pair<std::int32_t, std::int32_t> read_ids(std::istream& in) {
 }
 
 // --- Aggregate spec / partial encoding (core/aggregate.hpp) -----------------
-// Doubles inside partials travel as their raw bit patterns (decimal uint64)
-// so pushdown results round-trip bit-exactly; the ExactSum superaccumulator
-// travels as its nonzero limbs.
-
-std::uint64_t double_bits(double v) { return std::bit_cast<std::uint64_t>(v); }
-
-double bits_double(std::istream& in, const char* what) {
-  std::uint64_t bits = 0;
-  in >> bits;
-  SQUID_REQUIRE(in, what);
-  return std::bit_cast<double>(bits);
-}
+// Doubles inside partials travel as their raw bit patterns (double_bits);
+// the ExactSum superaccumulator travels as its nonzero limbs.
 
 template <class Sink> void write_spec(Sink& out, const AggregateSpec& spec) {
   out << static_cast<unsigned>(spec.kind) << ' ' << spec.dim << ' ' << spec.k
@@ -648,7 +639,7 @@ void load_snapshot(SquidSystem& sys, std::istream& in) {
         element.keys.emplace_back(read_string(in));
       } else if (kind == 'n') {
         element.keys.emplace_back(
-            token_double(in, "snapshot: malformed numeric token"));
+            bits_double(in, "snapshot: malformed numeric token"));
       } else {
         SQUID_REQUIRE(false, "snapshot: unknown token kind");
       }

@@ -234,15 +234,6 @@ bool SquidSystem::unpublish(const DataElement& element) {
   return true;
 }
 
-overlay::RouteResult SquidSystem::retract_routed(const DataElement& element,
-                                                 NodeId origin, bool* removed) {
-  const overlay::RouteResult route =
-      ring_.route(origin, index_of_element(element));
-  const bool did = route.ok && unpublish(element);
-  if (removed != nullptr) *removed = did;
-  return route;
-}
-
 // --- Hot-cluster replica cache (docs/LOAD_BALANCING.md) ---------------------
 
 std::uint64_t SquidSystem::install_replica(unsigned level, u128 prefix,
@@ -360,14 +351,6 @@ void SquidSystem::invalidate_replicas_batch(const std::vector<u128>& touched) {
     replica_counters_->invalidations.fetch_add(1, std::memory_order_relaxed);
     bump("squid.balance.replica.invalidations");
   }
-}
-
-overlay::RouteResult SquidSystem::publish_routed(const DataElement& element,
-                                                 NodeId origin) {
-  const overlay::RouteResult route =
-      ring_.route(origin, index_of_element(element));
-  if (route.ok) publish(element);
-  return route;
 }
 
 std::size_t SquidSystem::key_rank_after(u128 v) const {

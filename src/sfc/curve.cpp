@@ -37,7 +37,8 @@ Rect Curve::cell_of_prefix(u128 prefix, unsigned level) const {
   Rect cell;
   cell.dims.reserve(dims_);
   for (const auto c : representative) {
-    const std::uint64_t lo = (c >> cell_side_bits) << cell_side_bits;
+    const std::uint64_t lo =
+        cell_side_bits >= 64 ? 0 : (c >> cell_side_bits) << cell_side_bits;
     const std::uint64_t width =
         cell_side_bits >= 64 ? ~std::uint64_t{0}
                              : (std::uint64_t{1} << cell_side_bits) - 1;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "squid/core/update.hpp"
 #include "squid/stats/summary.hpp"
 #include "squid/util/rng.hpp"
 
@@ -56,19 +57,22 @@ TEST(SquidSystem, NodeLoadsSumToKeyCount) {
   EXPECT_EQ(total, sys.key_count());
 }
 
-TEST(SquidSystem, PublishRoutedReachesTheOwner) {
+TEST(SquidSystem, PublishUpdateReachesTheOwner) {
   Rng rng(4);
   SquidSystem sys(small_doc_space());
   sys.build_network(30, rng);
   const auto element = doc("routed", "cab", "dad");
   const auto origin = sys.ring().random_node(rng);
-  const auto route = sys.publish_routed(element, origin);
-  ASSERT_TRUE(route.ok);
-  EXPECT_EQ(route.path.front(), origin);
+  const UpdateResult result = publish_update(sys, element, origin);
+  ASSERT_TRUE(result.delivered);
+  EXPECT_TRUE(result.applied);
   EXPECT_EQ(sys.element_count(), 1u);
-  // The destination must be the owner of the element's index.
-  const auto point = sys.space().encode(element.keys);
-  EXPECT_EQ(route.dest, sys.owner_of(sys.curve().index_of(point)));
+  // The one key must sit at the owner of the element's index, reached over
+  // the overlay route from the origin.
+  const u128 index = sys.curve().index_of(sys.space().encode(element.keys));
+  EXPECT_EQ(result.hops, sys.ring().route(origin, index).hops());
+  for (const auto& [node, load] : sys.node_loads())
+    EXPECT_EQ(load, node == sys.owner_of(index) ? 1u : 0u);
 }
 
 TEST(SquidSystem, QueryRequiresLiveOrigin) {
