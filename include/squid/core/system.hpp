@@ -16,6 +16,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "squid/core/runtime.hpp"
@@ -369,8 +370,6 @@ private:
 
   u128 index_of_element(const DataElement& element) const;
 
-  /// Keys a newcomer with identifier `candidate` would absorb.
-  std::size_t absorbed_load(NodeId candidate) const;
   /// Count of stored keys in the wrapped ring interval (from, to].
   std::size_t keys_in_range(NodeId from, NodeId to) const;
 
@@ -508,11 +507,10 @@ private:
   /// Copy the live store's keys in `entry.segment` into its snapshot.
   void snapshot_replica(ReplicaEntry& entry);
   /// Publish-side hook: invalidate every valid entry whose segment covers
-  /// `index`. O(entries) per publish, entries are O(active hotspots).
-  void invalidate_replicas(u128 index);
-  /// Batch twin: `touched` is the index-sorted key list of one
-  /// publish_batch; each entry is judged with one binary search.
-  void invalidate_replicas_batch(const std::vector<u128>& touched);
+  /// a key of `touched` (index-sorted: one key for publish/unpublish, the
+  /// whole batch for publish_batch). One binary search per entry, and
+  /// entries are O(active hotspots).
+  void invalidate_replicas(std::span<const u128> touched);
 
   keyword::KeywordSpace space_;
   SquidConfig config_;

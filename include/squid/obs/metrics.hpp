@@ -3,7 +3,7 @@
 // Named counters, gauges, and fixed-bucket histograms (built on the
 // stats::Summary module's Histogram) that long-lived subsystems publish
 // into: the query engine, ChordRing maintenance (stabilization, finger
-// repairs, tombstone compactions), the ReplicationManager, and the load
+// repairs, membership merges), the ReplicationManager, and the load
 // balancers. Naming scheme: `squid.<subsystem>.<metric>`, dot-separated,
 // lowercase (the full inventory is tabulated in DESIGN.md 4c).
 //

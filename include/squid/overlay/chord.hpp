@@ -14,13 +14,15 @@
 // of the nodes involved. Ground-truth helpers (successor_of, repair_all) are
 // clearly named and used only for experiment setup and assertions.
 //
-// Membership is stored flat (DESIGN.md 4b): a sorted contiguous array of
-// identifiers with a parallel slot table into a stable node arena, instead
-// of a node-based std::map. successor_of / predecessor_of / contains are
-// binary searches over contiguous u128s, random_node is an O(1) (amortized)
-// rank pick, and repair_all wires whole tables by rank arithmetic. Leave and
-// fail tombstone their array entry; compaction is deferred to the next
-// insert (which pays O(N) for its shift anyway) or to a density threshold.
+// Membership is one util::TieredStore<ChordNode> keyed by node id
+// (DESIGN.md 4b, 4j): a sorted base array, a small sorted delta tier and a
+// tombstone list, folded back into the base by the store's deterministic
+// merge. contains / node are its find, successor_of / predecessor_of its
+// two neighbour reads (with the ring's wrap added here), random_node its
+// order statistic, and build / repair_all run inside bulk_update over the
+// merged dense arrays, wiring whole tables by rank arithmetic. Join inserts
+// and leave / fail erase through the store, so a load-balancing move
+// (leave plus rejoin) costs a delta shift, not an O(N) array shift.
 
 #pragma once
 
@@ -30,6 +32,7 @@
 
 #include "squid/overlay/id_space.hpp"
 #include "squid/util/rng.hpp"
+#include "squid/util/store.hpp"
 
 namespace squid::overlay {
 
@@ -74,8 +77,8 @@ public:
     return (id + finger_targets_[k]) & id_mask();
   }
   u128 id_mask() const noexcept { return low_mask(id_bits_); }
-  std::size_t size() const noexcept { return live_count_; }
-  bool contains(NodeId id) const { return find_pos(id) != npos; }
+  std::size_t size() const noexcept { return members_.size(); }
+  bool contains(NodeId id) const { return members_.find(id) != nullptr; }
 
   /// Experiment setup: create `count` nodes with distinct random ids and
   /// wire every table exactly.
@@ -126,11 +129,8 @@ public:
   /// Ground truth: first node strictly before `key` (wrapping).
   NodeId predecessor_of(u128 key) const;
 
-  /// Recompute every node's predecessor/successor-list/fingers exactly.
-  /// Tolerates tombstoned entries: after mass departure the membership
-  /// array may hold up to ~50% dead slots (remove_pos defers compaction),
-  /// and repair resolves every link through live entries only instead of
-  /// assuming a dense array.
+  /// Recompute every node's predecessor/successor-list/fingers exactly,
+  /// over the membership store's merged dense arrays.
   void repair_all();
 
   const ChordNode& node(NodeId id) const;
@@ -152,31 +152,18 @@ public:
   std::size_t max_route_hops() const noexcept { return 4 * (id_bits_ + 2); }
 
 private:
-  static constexpr std::uint32_t kDeadSlot = 0xffffffffu;
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-
   NodeId closest_preceding_alive(const ChordNode& n, u128 key) const;
   std::optional<NodeId> first_alive_successor(const ChordNode& n) const;
 
-  /// First array position with ids_[pos] >= key (== ids_.size() past end).
-  std::size_t lower_pos(u128 key) const;
-  /// Array position of live node `id`, or npos.
-  std::size_t find_pos(NodeId id) const;
-  /// Wire predecessor, successor list, and the short-range finger prefix of
-  /// the node at array position `r` (must be live; tombstoned neighbors are
-  /// skipped). Returns the first finger index still needing a membership
-  /// search.
-  std::size_t wire_links(std::size_t r);
-  /// Wire the node at array position `r` exactly (binary search per finger,
-  /// stepping over tombstones).
-  void wire_rank(std::size_t r);
-  /// Drop tombstones, restoring ids_/slot_ to dense rank order.
-  void compact();
-  /// Sorted insert of a fresh id (compacts first); returns its slot.
-  std::uint32_t insert_id(NodeId id);
-  /// Tombstone the entry at `pos` and recycle its slot.
-  void remove_pos(std::size_t pos);
-  std::uint32_t alloc_slot();
+  /// Wire `n`'s predecessor (`pred`), successor list and the short-range
+  /// finger prefix. `next(x)` yields the live id clockwise after `x`; it is
+  /// called with each successor in turn, starting from n.id. Returns the
+  /// first finger index still needing a membership search.
+  template <class Next>
+  std::size_t wire_links(ChordNode& n, NodeId pred, Next&& next) const;
+  /// Publish the membership merges run since `before` (a stats().merges
+  /// reading) as squid.ring.merges.
+  void note_merges(std::uint64_t before) const;
 
   unsigned id_bits_;
   unsigned successor_list_len_;
@@ -184,12 +171,7 @@ private:
   std::vector<u128> finger_offsets() const; // built once in the ctor
   std::vector<u128> finger_targets_;        // offsets j*base^k, ascending
 
-  std::vector<NodeId> ids_;         ///< sorted; tombstoned entries included
-  std::vector<std::uint32_t> slot_; ///< parallel: arena slot, or kDeadSlot
-  std::vector<ChordNode> arena_;    ///< slot storage; slots are recycled
-  std::vector<std::uint32_t> free_slots_;
-  std::vector<std::size_t> dead_pos_; ///< sorted tombstone positions in ids_
-  std::size_t live_count_ = 0;
+  util::TieredStore<ChordNode> members_; ///< live nodes keyed by id
 };
 
 } // namespace squid::overlay

@@ -29,6 +29,10 @@
 // any replay of the same operation sequence merges at the same steps.
 // delta_cap = 1 degenerates to the 4b flat store (merge after every
 // mutation), which is how bench/micro_store measures before/after.
+//
+// The same container holds the Chord ring's membership (ChordNode payloads
+// keyed by node id), whose successor/predecessor lookups are the two
+// neighbour reads first_at_or_after and last_before.
 
 #pragma once
 
@@ -36,6 +40,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -82,19 +87,16 @@ public:
   std::size_t tombstones() const noexcept { return dead_.size(); }
   const TieredStoreStats& stats() const noexcept { return stats_; }
   std::size_t delta_cap() const noexcept { return delta_cap_; }
-  void set_delta_cap(std::size_t cap) {
-    delta_cap_ = cap;
-    maybe_merge();
-  }
 
   // --- Mutation -------------------------------------------------------------
 
   /// Payload of `key`'s live slot, or nullptr when the key is absent
   /// (never stored, or tombstoned).
   Payload* find(u128 key) {
+    // The tiers are disjoint, so a base hit (live or tombstoned) settles it.
+    if (const auto b = base_pos(key))
+      return is_dead(key) ? nullptr : &base_data_[*b];
     if (const auto d = delta_pos(key)) return &delta_data_[*d];
-    if (const auto b = base_pos(key); b && !is_dead(key))
-      return &base_data_[*b];
     return nullptr;
   }
   const Payload* find(u128 key) const {
@@ -141,18 +143,6 @@ public:
     dead_.insert(std::lower_bound(dead_.begin(), dead_.end(), key), key);
     maybe_merge();
     return true;
-  }
-
-  /// Replace the whole store with pre-merged sorted content (the
-  /// publish_batch loader builds these). `keys` must be strictly ascending.
-  void assign_sorted(std::vector<u128> keys, std::vector<Payload> payloads) {
-    SQUID_REQUIRE(keys.size() == payloads.size(),
-                  "TieredStore::assign_sorted: array size mismatch");
-    base_index_ = std::move(keys);
-    base_data_ = std::move(payloads);
-    delta_index_.clear();
-    delta_data_.clear();
-    dead_.clear();
   }
 
   /// Bulk load: fold the tiers, then hand the (now complete) base arrays to
@@ -216,11 +206,49 @@ public:
     return rank(base_index_) - rank(dead_) + rank(delta_index_);
   }
 
+  /// The first live key >= v, or nullopt when none is (no wrap). One binary
+  /// search per tier, then a lockstep step past each tombstone in the way.
+  std::optional<u128> first_at_or_after(u128 v) const {
+    std::size_t b = lower_bound_pos(base_index_, v);
+    std::size_t t = lower_bound_pos(dead_, v);
+    // dead_ is a subset of the base keys: dead_[t] is either base_index_[b]
+    // (a tombstone, step both) or above it (base_index_[b] is live).
+    while (b < base_index_.size() && t < dead_.size() &&
+           dead_[t] == base_index_[b]) {
+      ++b;
+      ++t;
+    }
+    const std::size_t d = lower_bound_pos(delta_index_, v);
+    const bool has_b = b < base_index_.size();
+    const bool has_d = d < delta_index_.size();
+    if (!has_b && !has_d) return std::nullopt;
+    if (!has_d) return base_index_[b];
+    if (!has_b) return delta_index_[d];
+    return std::min(base_index_[b], delta_index_[d]);
+  }
+
+  /// The last live key < v, or nullopt when none is (no wrap): the mirror
+  /// of first_at_or_after.
+  std::optional<u128> last_before(u128 v) const {
+    std::size_t b = lower_bound_pos(base_index_, v);
+    std::size_t t = lower_bound_pos(dead_, v);
+    while (b > 0 && t > 0 && dead_[t - 1] == base_index_[b - 1]) {
+      --b;
+      --t;
+    }
+    const std::size_t d = lower_bound_pos(delta_index_, v);
+    if (b == 0 && d == 0) return std::nullopt;
+    if (d == 0) return base_index_[b - 1];
+    if (b == 0) return delta_index_[d - 1];
+    return std::max(base_index_[b - 1], delta_index_[d - 1]);
+  }
+
   /// The k-th smallest live key (0-based). Requires k < size(). Selects
   /// across the tiers by binary-searching the delta's contribution:
   /// O(log |delta| * log K).
   u128 kth(std::size_t k) const {
     SQUID_REQUIRE(k < size(), "TieredStore::kth: rank out of range");
+    if (delta_index_.empty()) return alive_base_at(k);
     // Take i keys from the delta and k+1-i from the live base; the correct
     // split is the unique i where the usual two-sorted-array selection
     // fences hold.
@@ -234,8 +262,7 @@ public:
           delta_index_[i] < alive_base_at(j - 1)) {
         lo = i + 1; // delta[i] still below the base fence: take more delta
       } else if (i > 0 && j < alive && alive_base_at(j) < delta_index_[i - 1]) {
-        hi = i - 1 + 1; // took too much delta
-        hi = i;
+        hi = i; // took too much delta
       } else {
         lo = hi = i;
       }
@@ -364,6 +391,7 @@ private:
   /// over base positions — alive-rank(p) = p+1 - tombstones<=base[p] is
   /// nondecreasing in p.
   u128 alive_base_at(std::size_t j) const {
+    if (dead_.empty()) return base_index_[j];
     std::size_t lo = j, hi = base_index_.size() - 1;
     while (lo < hi) {
       const std::size_t p = lo + (hi - lo) / 2;

@@ -114,7 +114,7 @@ void SquidSystem::publish(const DataElement& element) {
   if (place_element(key.elements, element)) ++element_count_;
   if (store_.stats().merges != merges_before)
     bump("squid.store.merges", store_.stats().merges - merges_before);
-  if (!replica_cache_.empty()) invalidate_replicas(index);
+  if (!replica_cache_.empty()) invalidate_replicas({&index, 1});
   if constexpr (obs::kEnabled) {
     static obs::Counter& publishes =
         obs::Registry::global().counter("squid.system.publishes");
@@ -182,7 +182,7 @@ void SquidSystem::publish_batch(const std::vector<DataElement>& elements) {
     std::vector<u128> touched;
     touched.reserve(order.size());
     for (const auto& [index, pos] : order) touched.push_back(index);
-    invalidate_replicas_batch(touched); // already index-sorted
+    invalidate_replicas(touched); // already index-sorted
   }
   bump("squid.system.publishes", elements.size());
   if constexpr (obs::kEnabled) {
@@ -225,7 +225,7 @@ bool SquidSystem::unpublish(const DataElement& element) {
     if (store_.stats().merges != merges_before)
       bump("squid.store.merges", store_.stats().merges - merges_before);
   }
-  if (!replica_cache_.empty()) invalidate_replicas(index);
+  if (!replica_cache_.empty()) invalidate_replicas({&index, 1});
   bump("squid.system.unpublishes");
   if constexpr (obs::kEnabled) {
     if (telemetry_ != nullptr)
@@ -330,17 +330,7 @@ const SquidSystem::ReplicaEntry* SquidSystem::replica_serving(
   return best;
 }
 
-void SquidSystem::invalidate_replicas(u128 index) {
-  for (auto& [id, entry] : replica_cache_) {
-    if (!entry.valid || !entry.segment.contains(index)) continue;
-    entry.valid = false;
-    ++entry.version;
-    replica_counters_->invalidations.fetch_add(1, std::memory_order_relaxed);
-    bump("squid.balance.replica.invalidations");
-  }
-}
-
-void SquidSystem::invalidate_replicas_batch(const std::vector<u128>& touched) {
+void SquidSystem::invalidate_replicas(std::span<const u128> touched) {
   for (auto& [id, entry] : replica_cache_) {
     if (!entry.valid) continue;
     const auto hit = std::lower_bound(touched.begin(), touched.end(),
@@ -384,11 +374,6 @@ std::optional<SquidSystem::NodeId> SquidSystem::median_split_id(
 std::size_t SquidSystem::load_of(NodeId id) const {
   if (ring_.size() == 1) return store_.size();
   return keys_in_range(ring_.predecessor_of(id), id);
-}
-
-std::size_t SquidSystem::absorbed_load(NodeId candidate) const {
-  if (ring_.size() == 0) return store_.size();
-  return keys_in_range(ring_.predecessor_of(candidate), candidate);
 }
 
 std::vector<std::pair<SquidSystem::NodeId, std::size_t>>

@@ -1,7 +1,6 @@
 #include "squid/overlay/chord.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <unordered_set>
 
 #include "squid/obs/metrics.hpp"
@@ -22,8 +21,7 @@ struct RingMetrics {
   obs::Counter& successor_fallbacks;
   obs::Counter& finger_fixes;
   obs::Counter& timeout_repairs;
-  obs::Counter& compactions;
-  obs::Counter& tombstones_dropped;
+  obs::Counter& merges;
   obs::Counter& joins;
   obs::Counter& leaves;
   obs::Counter& fails;
@@ -37,8 +35,7 @@ struct RingMetrics {
                          r.counter("squid.ring.successor_fallbacks"),
                          r.counter("squid.ring.finger_fixes"),
                          r.counter("squid.ring.timeout_repairs"),
-                         r.counter("squid.ring.compactions"),
-                         r.counter("squid.ring.tombstones_dropped"),
+                         r.counter("squid.ring.merges"),
                          r.counter("squid.ring.joins"),
                          r.counter("squid.ring.leaves"),
                          r.counter("squid.ring.fails")};
@@ -79,132 +76,48 @@ std::vector<u128> ChordRing::finger_offsets() const {
   return offsets;
 }
 
-// --- Flat membership primitives ---------------------------------------------
-
-std::size_t ChordRing::lower_pos(u128 key) const {
-  return static_cast<std::size_t>(
-      std::lower_bound(ids_.begin(), ids_.end(), key) - ids_.begin());
-}
-
-std::size_t ChordRing::find_pos(NodeId id) const {
-  const std::size_t pos = lower_pos(id);
-  if (pos == ids_.size() || ids_[pos] != id || slot_[pos] == kDeadSlot)
-    return npos;
-  return pos;
-}
-
-std::uint32_t ChordRing::alloc_slot() {
-  if (!free_slots_.empty()) {
-    const std::uint32_t s = free_slots_.back();
-    free_slots_.pop_back();
-    arena_[s] = ChordNode{};
-    return s;
-  }
-  arena_.emplace_back();
-  return static_cast<std::uint32_t>(arena_.size() - 1);
-}
-
-void ChordRing::compact() {
-  if (dead_pos_.empty()) return;
+void ChordRing::note_merges(std::uint64_t before) const {
   if constexpr (obs::kEnabled) {
-    RingMetrics::get().compactions.add(1);
-    RingMetrics::get().tombstones_dropped.add(dead_pos_.size());
+    const std::uint64_t merges = members_.stats().merges;
+    if (merges != before) RingMetrics::get().merges.add(merges - before);
   }
-  std::size_t out = 0;
-  for (std::size_t pos = 0; pos < ids_.size(); ++pos) {
-    if (slot_[pos] == kDeadSlot) continue;
-    ids_[out] = ids_[pos];
-    slot_[out] = slot_[pos];
-    ++out;
-  }
-  ids_.resize(out);
-  slot_.resize(out);
-  dead_pos_.clear();
-}
-
-std::uint32_t ChordRing::insert_id(NodeId id) {
-  compact();
-  const std::uint32_t s = alloc_slot();
-  const std::size_t pos = lower_pos(id);
-  ids_.insert(ids_.begin() + static_cast<std::ptrdiff_t>(pos), id);
-  slot_.insert(slot_.begin() + static_cast<std::ptrdiff_t>(pos), s);
-  arena_[s].id = id;
-  ++live_count_;
-  return s;
-}
-
-void ChordRing::remove_pos(std::size_t pos) {
-  free_slots_.push_back(slot_[pos]);
-  arena_[slot_[pos]] = ChordNode{}; // release finger/successor storage
-  slot_[pos] = kDeadSlot;
-  dead_pos_.insert(
-      std::lower_bound(dead_pos_.begin(), dead_pos_.end(), pos), pos);
-  --live_count_;
-  // Bound tombstone density so reads stay near one binary search even under
-  // removal-only churn.
-  if (dead_pos_.size() * 2 > ids_.size()) compact();
 }
 
 // --- Ground-truth queries ----------------------------------------------------
 
 NodeId ChordRing::successor_of(u128 key) const {
-  SQUID_REQUIRE(live_count_ > 0, "successor_of on an empty ring");
-  std::size_t pos = lower_pos(key);
-  for (;;) {
-    if (pos == ids_.size()) pos = 0;
-    if (slot_[pos] != kDeadSlot) return ids_[pos];
-    ++pos;
-  }
+  SQUID_REQUIRE(!members_.empty(), "successor_of on an empty ring");
+  if (const auto id = members_.first_at_or_after(key)) return *id;
+  return members_.kth(0); // wrap to the smallest id
 }
 
 NodeId ChordRing::predecessor_of(u128 key) const {
-  SQUID_REQUIRE(live_count_ > 0, "predecessor_of on an empty ring");
-  std::size_t pos = lower_pos(key);
-  for (;;) {
-    pos = (pos == 0 ? ids_.size() : pos) - 1;
-    if (slot_[pos] != kDeadSlot) return ids_[pos];
-  }
+  SQUID_REQUIRE(!members_.empty(), "predecessor_of on an empty ring");
+  if (const auto id = members_.last_before(key)) return *id;
+  return members_.kth(members_.size() - 1); // wrap to the largest id
 }
 
 const ChordNode& ChordRing::node(NodeId id) const {
-  const std::size_t pos = find_pos(id);
-  SQUID_REQUIRE(pos != npos, "unknown node id");
-  return arena_[slot_[pos]];
+  const ChordNode* n = members_.find(id);
+  SQUID_REQUIRE(n != nullptr, "unknown node id");
+  return *n;
 }
 
 ChordNode& ChordRing::node(NodeId id) {
-  const std::size_t pos = find_pos(id);
-  SQUID_REQUIRE(pos != npos, "unknown node id");
-  return arena_[slot_[pos]];
+  ChordNode* n = members_.find(id);
+  SQUID_REQUIRE(n != nullptr, "unknown node id");
+  return *n;
 }
 
 std::vector<NodeId> ChordRing::node_ids() const {
-  std::vector<NodeId> ids;
-  ids.reserve(live_count_);
-  for (std::size_t pos = 0; pos < ids_.size(); ++pos)
-    if (slot_[pos] != kDeadSlot) ids.push_back(ids_[pos]);
-  return ids;
+  return members_.materialize_keys();
 }
 
 NodeId ChordRing::random_node(Rng& rng) const {
-  SQUID_REQUIRE(live_count_ > 0, "random_node on an empty ring");
-  // The k-th smallest live id, exactly like std::advance over the old map
-  // (query-replay determinism depends on it) — but O(1) on a compacted
-  // array. With tombstones present, the k-th live entry is the least fixed
-  // point of p = k + |dead positions <= p| (Kleene iteration over the small
-  // sorted tombstone list).
-  const auto k = static_cast<std::size_t>(rng.below(live_count_));
-  if (dead_pos_.empty()) return ids_[k];
-  std::size_t p = k;
-  for (;;) {
-    const auto dead = static_cast<std::size_t>(
-        std::upper_bound(dead_pos_.begin(), dead_pos_.end(), p) -
-        dead_pos_.begin());
-    if (k + dead == p) break;
-    p = k + dead;
-  }
-  assert(slot_[p] != kDeadSlot);
-  return ids_[p];
+  SQUID_REQUIRE(!members_.empty(), "random_node on an empty ring");
+  // The k-th smallest live id, exactly like std::advance over the seed's
+  // map (query-replay determinism depends on it).
+  return members_.kth(static_cast<std::size_t>(rng.below(size())));
 }
 
 NodeId ChordRing::random_free_id(Rng& rng) const {
@@ -218,41 +131,26 @@ NodeId ChordRing::random_free_id(Rng& rng) const {
 
 // --- Exact wiring (experiment setup) -----------------------------------------
 
-std::size_t ChordRing::wire_links(std::size_t r) {
-  assert(slot_[r] != kDeadSlot);
-  const std::size_t count = ids_.size();
-  // Neighbor walks skip tombstones: after mass departure up to half the
-  // array can be dead (remove_pos defers compaction), and resolving a link
-  // through a dead entry would hand out a vanished peer — or, via its
-  // recycled arena slot, a different node entirely. On a dense array every
-  // walk is a single step, so the compacted fast path costs what it did.
-  const auto next_live = [&](std::size_t p) {
-    do {
-      p = p + 1 == count ? 0 : p + 1;
-    } while (slot_[p] == kDeadSlot);
-    return p;
-  };
-  ChordNode& n = arena_[slot_[r]];
-  std::size_t p = r;
-  do {
-    p = p == 0 ? count - 1 : p - 1;
-  } while (slot_[p] == kDeadSlot);
-  n.predecessor = ids_[p];
+template <class Next>
+std::size_t ChordRing::wire_links(ChordNode& n, NodeId pred,
+                                  Next&& next) const {
+  n.predecessor = pred;
   n.has_predecessor = true;
   n.successors.clear();
   n.successors.reserve(successor_list_len_);
-  // The next successor_list_len_ live entries clockwise (the node itself
-  // closes the list on tiny rings).
-  p = r;
+  // The next successor_list_len_ live ids clockwise (the node itself closes
+  // the list on tiny rings).
+  NodeId s = n.id;
   for (unsigned i = 0; i < successor_list_len_; ++i) {
-    p = next_live(p);
-    n.successors.push_back(ids_[p]);
-    if (p == r) break; // wrapped all the way around
+    s = next(s);
+    n.successors.push_back(s);
+    if (s == n.id) break; // wrapped all the way around
   }
   // resize, not assign: every entry is written by the caller or the fill
   // below, and on the warm repair path this skips re-zeroing the table.
   n.fingers.resize(finger_count());
-  if (live_count_ == 1) {
+  const NodeId succ = n.successors.front();
+  if (succ == n.id) { // the only live node
     std::fill(n.fingers.begin(), n.fingers.end(), n.id);
     return finger_count();
   }
@@ -261,73 +159,71 @@ std::size_t ChordRing::wire_links(std::size_t r) {
   // at paper scales that is the vast majority of the table (offsets are
   // geometric, the gap is ~2^bits/N). finger_targets_ is ascending, so one
   // search over it replaces ~log2(2^bits/N) membership searches per node.
-  const NodeId next = n.successors.front();
-  const u128 gap = (next - n.id) & id_mask();
+  const u128 gap = (succ - n.id) & id_mask();
   const std::size_t k0 = static_cast<std::size_t>(
       std::upper_bound(finger_targets_.begin(), finger_targets_.end(), gap) -
       finger_targets_.begin());
   std::fill(n.fingers.begin(),
-            n.fingers.begin() + static_cast<std::ptrdiff_t>(k0), next);
+            n.fingers.begin() + static_cast<std::ptrdiff_t>(k0), succ);
   return k0;
 }
 
-void ChordRing::wire_rank(std::size_t r) {
-  const std::size_t count = ids_.size();
-  ChordNode& n = arena_[slot_[r]];
-  for (std::size_t k = wire_links(r); k < finger_count(); ++k) {
-    std::size_t pos = lower_pos(finger_target_of(n.id, k));
-    if (pos == count) pos = 0;
-    // A binary search lands on positions, not liveness: step past any
-    // tombstones to the target's first *live* successor.
-    while (slot_[pos] == kDeadSlot) pos = pos + 1 == count ? 0 : pos + 1;
-    n.fingers[k] = ids_[pos];
-  }
-}
-
 void ChordRing::repair_all() {
-  if (live_count_ == 0) return;
-  const std::size_t count = ids_.size();
-  // First live position: where finger targets past the array end wrap to.
-  std::size_t first_live = 0;
-  while (slot_[first_live] == kDeadSlot) ++first_live;
-  // Sweeping all ranks in order makes finger k's target monotone (mod one
-  // wrap), so a rolling cursor per finger index answers each long-range
-  // finger in amortized O(1) where a membership binary search paid
-  // O(log N). Short-range fingers never touch their cursor (wire_links
-  // fills them from the successor gap). Tombstoned entries are skipped on
-  // both sides — as sweep subjects and as cursor answers — so repair after
-  // mass departure never resolves a link through a dead slot; dead
-  // positions cost one extra cursor step each, amortized over the sweep.
-  std::vector<std::size_t> cursor(finger_count(), 0);
-  std::vector<u128> prev_target(finger_count(), 0);
-  for (std::size_t r = 0; r < count; ++r) {
-    if (slot_[r] == kDeadSlot) continue;
-    ChordNode& n = arena_[slot_[r]];
-    for (std::size_t k = wire_links(r); k < finger_count(); ++k) {
-      const u128 target = finger_target_of(n.id, k);
-      std::size_t& c = cursor[k];
-      // The target sequence wrapped past zero: restart the cursor. (If the
-      // wrap happened during ranks that skipped this k and the target is
-      // already back above the last one seen, the stale cursor is still a
-      // valid lower bound — no reset needed.)
-      if (target < prev_target[k]) c = 0;
-      prev_target[k] = target;
-      while (c < count && (ids_[c] < target || slot_[c] == kDeadSlot)) ++c;
-      n.fingers[k] = ids_[c == count ? first_live : c];
+  if (members_.empty()) return;
+  const std::uint64_t merges = members_.stats().merges;
+  members_.bulk_update([&](std::vector<NodeId>& ids,
+                           std::vector<ChordNode>& nodes) {
+    const std::size_t count = ids.size();
+    // Sweeping all ranks in order makes finger k's target monotone (mod one
+    // wrap), so a rolling cursor per finger index answers each long-range
+    // finger in amortized O(1) where a membership binary search paid
+    // O(log N). Short-range fingers never touch their cursor (wire_links
+    // fills them from the successor gap).
+    std::vector<std::size_t> cursor(finger_count(), 0);
+    std::vector<u128> prev_target(finger_count(), 0);
+    for (std::size_t r = 0; r < count; ++r) {
+      ChordNode& n = nodes[r];
+      std::size_t p = r;
+      const std::size_t k0 =
+          wire_links(n, ids[(r == 0 ? count : r) - 1], [&](NodeId) {
+            p = p + 1 == count ? 0 : p + 1;
+            return ids[p];
+          });
+      for (std::size_t k = k0; k < finger_count(); ++k) {
+        const u128 target = finger_target_of(n.id, k);
+        std::size_t& c = cursor[k];
+        // The target sequence wrapped past zero: restart the cursor. (If
+        // the wrap happened during ranks that skipped this k and the target
+        // is already back above the last one seen, the stale cursor is
+        // still a valid lower bound — no reset needed.)
+        if (target < prev_target[k]) c = 0;
+        prev_target[k] = target;
+        while (c < count && ids[c] < target) ++c;
+        n.fingers[k] = ids[c == count ? 0 : c];
+      }
     }
-  }
+  });
+  note_merges(merges);
 }
 
 void ChordRing::add_node_exact(NodeId id) {
   SQUID_REQUIRE(id <= id_mask(), "node id exceeds the identifier space");
   SQUID_REQUIRE(!contains(id), "duplicate node id");
-  const std::uint32_t s = insert_id(id); // compacts: array is dense now
-  wire_rank(lower_pos(id));
+  const std::uint64_t merges = members_.stats().merges;
+  // obtain hands back a default payload, also when it resurrects the
+  // tombstone of a departed node with this id.
+  ChordNode& self = members_.obtain(id);
+  note_merges(merges);
+  self.id = id;
+  const std::size_t k0 =
+      wire_links(self, predecessor_of(id),
+                 [&](NodeId s) { return successor_of((s + 1) & id_mask()); });
+  for (std::size_t k = k0; k < finger_count(); ++k)
+    self.fingers[k] = successor_of(finger_target_of(id, k));
   // Splice the neighbors so the ring stays exactly consistent: the new
   // node's predecessor gains it as immediate successor, the successor gains
   // it as predecessor. Remote fingers elsewhere stay stale by design.
-  if (live_count_ > 1) {
-    ChordNode& self = arena_[s];
+  if (size() > 1) {
     ChordNode& pred = node(self.predecessor);
     pred.successors.insert(pred.successors.begin(), id);
     if (pred.successors.size() > successor_list_len_)
@@ -340,7 +236,6 @@ void ChordRing::add_node_exact(NodeId id) {
 
 void ChordRing::build(std::size_t count, Rng& rng) {
   SQUID_REQUIRE(count >= 1, "cannot build an empty ring");
-  compact();
   // Mirror the incremental-insert draw loop exactly: collisions retry and
   // consume rng against everything drawn so far. Only the per-draw
   // membership answer matters for the stream, so a hash set stands in for
@@ -353,10 +248,11 @@ void ChordRing::build(std::size_t count, Rng& rng) {
                                       0xbf58476d1ce4e5b9ull);
     }
   };
-  std::unordered_set<NodeId, IdHash> members(ids_.begin(), ids_.end());
+  std::unordered_set<NodeId, IdHash> members;
   members.reserve(count);
+  members_.for_each([&](NodeId id, const ChordNode&) { members.insert(id); });
   std::vector<NodeId> fresh;
-  fresh.reserve(count - std::min(count, live_count_));
+  fresh.reserve(count - std::min(count, size()));
   while (members.size() < count) {
     for (;;) {
       const NodeId id = id_bits_ >= 128
@@ -369,28 +265,26 @@ void ChordRing::build(std::size_t count, Rng& rng) {
     }
   }
   std::sort(fresh.begin(), fresh.end());
-  arena_.reserve(arena_.size() - free_slots_.size() + fresh.size());
-  std::vector<NodeId> merged;
-  std::vector<std::uint32_t> merged_slots;
-  merged.reserve(ids_.size() + fresh.size());
-  merged_slots.reserve(ids_.size() + fresh.size());
-  std::size_t old = 0;
-  for (const NodeId id : fresh) {
-    while (old < ids_.size() && ids_[old] < id) {
-      merged.push_back(ids_[old]);
-      merged_slots.push_back(slot_[old++]);
+  members_.bulk_update([&](std::vector<NodeId>& ids,
+                           std::vector<ChordNode>& nodes) {
+    std::vector<NodeId> merged_ids;
+    std::vector<ChordNode> merged_nodes;
+    merged_ids.reserve(ids.size() + fresh.size());
+    merged_nodes.reserve(ids.size() + fresh.size());
+    std::size_t old = 0;
+    const auto take_old = [&] {
+      merged_ids.push_back(ids[old]);
+      merged_nodes.push_back(std::move(nodes[old++]));
+    };
+    for (const NodeId id : fresh) {
+      while (old < ids.size() && ids[old] < id) take_old();
+      merged_ids.push_back(id);
+      merged_nodes.emplace_back().id = id;
     }
-    merged.push_back(id);
-    merged_slots.push_back(alloc_slot());
-    arena_[merged_slots.back()].id = id;
-  }
-  while (old < ids_.size()) {
-    merged.push_back(ids_[old]);
-    merged_slots.push_back(slot_[old++]);
-  }
-  ids_ = std::move(merged);
-  slot_ = std::move(merged_slots);
-  live_count_ = ids_.size();
+    while (old < ids.size()) take_old();
+    ids = std::move(merged_ids);
+    nodes = std::move(merged_nodes);
+  });
   if constexpr (obs::kEnabled) RingMetrics::get().joins.add(fresh.size());
   repair_all();
 }
@@ -477,20 +371,24 @@ RouteResult ChordRing::join(NodeId new_id, NodeId bootstrap) {
     n.fingers = succ.fingers;
     if (n.fingers.empty()) n.fingers.assign(finger_count(), r.dest);
     n.fingers[0] = r.dest;
-    if (succ.has_predecessor) {
+    // A failed node rejoining under its old id finds the successor's stale
+    // pointer still naming it; adopting that would make the node its own
+    // predecessor, and the eager notify below its own successor.
+    if (succ.has_predecessor && succ.predecessor != new_id) {
       n.predecessor = succ.predecessor;
       n.has_predecessor = true;
     }
-  } // the arena may reallocate below: drop the reference first
-  const std::uint32_t s = insert_id(new_id);
-  arena_[s] = std::move(n);
+  } // the insert below may shift or merge the store: drop the reference
+  const std::uint64_t merges = members_.stats().merges;
+  ChordNode& self = members_.obtain(new_id);
+  note_merges(merges);
+  self = std::move(n);
 
   ChordNode& succ_mut = node(r.dest);
   succ_mut.predecessor = new_id;
   succ_mut.has_predecessor = true;
   // Eager notify of the predecessor keeps the ring routable immediately, as
   // the first post-join stabilize round would.
-  const ChordNode& self = arena_[s];
   if (self.has_predecessor && contains(self.predecessor)) {
     ChordNode& pred = node(self.predecessor);
     pred.successors.insert(pred.successors.begin(), new_id);
@@ -501,10 +399,8 @@ RouteResult ChordRing::join(NodeId new_id, NodeId bootstrap) {
 }
 
 void ChordRing::leave(NodeId id) {
-  const std::size_t pos = find_pos(id);
-  SQUID_REQUIRE(pos != npos, "unknown node id");
+  const ChordNode& n = node(id);
   if constexpr (obs::kEnabled) RingMetrics::get().leaves.add(1);
-  const ChordNode& n = arena_[slot_[pos]];
   const auto succ = first_alive_successor(n);
   // Patch the neighbors (paper 3.2 Node Departures); distant finger tables
   // stay stale until their owners stabilize.
@@ -518,14 +414,17 @@ void ChordRing::leave(NodeId id) {
       p.successors.insert(p.successors.begin(), *succ);
     }
   }
-  remove_pos(pos);
+  const std::uint64_t merges = members_.stats().merges;
+  members_.erase(id);
+  note_merges(merges);
 }
 
 void ChordRing::fail(NodeId id) {
-  const std::size_t pos = find_pos(id);
-  SQUID_REQUIRE(pos != npos, "unknown node id");
+  SQUID_REQUIRE(contains(id), "unknown node id");
   if constexpr (obs::kEnabled) RingMetrics::get().fails.add(1);
-  remove_pos(pos);
+  const std::uint64_t merges = members_.stats().merges;
+  members_.erase(id);
+  note_merges(merges);
 }
 
 void ChordRing::stabilize(NodeId id, Rng& rng) {
@@ -585,10 +484,10 @@ void ChordRing::stabilize(NodeId id, Rng& rng) {
 
 void ChordRing::note_timeout(NodeId observer, NodeId dead) {
   if (observer == dead) return;
-  const std::size_t pos = find_pos(observer);
-  if (pos == npos) return; // the observer itself vanished since reporting
+  ChordNode* observed = members_.find(observer);
+  if (observed == nullptr) return; // the observer vanished since reporting
   if constexpr (obs::kEnabled) RingMetrics::get().timeout_repairs.add(1);
-  ChordNode& n = arena_[slot_[pos]];
+  ChordNode& n = *observed;
   // Successor-list fallback: the suspect is dropped, so routing falls
   // through to the next live entry immediately instead of on every lookup.
   std::erase(n.successors, dead);
@@ -612,14 +511,13 @@ void ChordRing::stabilize_all(Rng& rng, unsigned rounds) {
 }
 
 bool ChordRing::ring_consistent() const {
-  for (std::size_t pos = 0; pos < ids_.size(); ++pos) {
-    if (slot_[pos] == kDeadSlot) continue;
-    const ChordNode& n = arena_[slot_[pos]];
+  bool consistent = true;
+  members_.for_each([&](NodeId id, const ChordNode& n) {
     const auto succ = first_alive_successor(n);
-    if (!succ) return false;
-    if (*succ != successor_of((n.id + 1) & id_mask())) return false;
-  }
-  return true;
+    consistent = consistent && succ &&
+                 *succ == successor_of((id + 1) & id_mask());
+  });
+  return consistent;
 }
 
 } // namespace squid::overlay

@@ -128,6 +128,32 @@ TEST(Metrics, SubsystemsPublishIntoTheGlobalRegistry) {
   EXPECT_EQ(hops.count, 1u);
 }
 
+TEST(Metrics, RingMergesCountMembershipFolds) {
+  if (!kEnabled) GTEST_SKIP() << "observability compiled out";
+  Rng rng(314);
+  overlay::ChordRing ring(32);
+  ring.build(200, rng);
+  Registry::global().reset();
+  Counter& merges = Registry::global().counter("squid.ring.merges");
+
+  // Failures tombstone until the pending count reaches the store's default
+  // threshold; the failure that reaches it folds them all.
+  const std::size_t threshold = util::store_merge_threshold(200, 0);
+  for (std::size_t i = 0; i + 1 < threshold; ++i)
+    ring.fail(ring.random_node(rng));
+  EXPECT_EQ(merges.value(), 0u);
+  ring.fail(ring.random_node(rng));
+  EXPECT_EQ(merges.value(), 1u);
+
+  // A fresh id waits in the delta tier until repair_all folds it.
+  ring.add_node_exact(ring.random_free_id(rng));
+  EXPECT_EQ(merges.value(), 1u);
+  ring.repair_all();
+  EXPECT_EQ(merges.value(), 2u);
+  ring.repair_all(); // nothing pending: no fold
+  EXPECT_EQ(merges.value(), 2u);
+}
+
 Registry::Snapshot sample_snapshot() {
   Registry registry;
   registry.counter("squid.test.requests").add(12);

@@ -180,18 +180,17 @@ TEST(Chord, SurvivesSustainedChurn) {
 }
 
 // Regression (docs/FAULT_MODEL.md): repair_all used to assume a compacted
-// membership array; after a mass departure the array can carry up to ~50%
-// tombstones (remove_pos defers compaction below that density), and repair
-// walked dead slots as if they were live. Fail a large scattered cohort —
-// staying under the auto-compaction threshold — then verify oracle repair
-// wires every surviving table through live entries only.
+// membership array and walked dead slots as if they were live. Fail a large
+// scattered cohort — staying under the membership store's merge threshold,
+// so every tombstone is still pending — then verify oracle repair wires
+// every surviving table through live entries only.
 TEST(Chord, RepairAllToleratesTombstonedMembership) {
   Rng rng(21);
   ChordRing ring(24, /*successors=*/4);
   ring.build(64, rng);
   const auto ids = ring.node_ids();
-  // Fail 30 of 64 (every other node, from the second): 30 tombstones on 64
-  // entries stays below the 2*dead > size compaction trigger.
+  // Fail 30 of 64 (every other node, from the second): 30 tombstones stay
+  // below the store's merge threshold (64 pending entries at this size).
   std::set<NodeId> dead;
   for (std::size_t i = 1; i < ids.size() && dead.size() < 30; i += 2) {
     ring.fail(ids[i]);

@@ -1,9 +1,10 @@
-// Differential suite for the flat sorted-array ring membership (DESIGN.md
-// 4b): every query the public API answers is replayed against an ordered-set
+// Differential suite for the ring's membership index (DESIGN.md 4b, 4j):
+// every query the public API answers is replayed against an ordered-set
 // oracle — the exact model the seed's std::map<NodeId, ChordNode> storage
-// implemented by construction. Any divergence between binary-search rank
-// arithmetic (with tombstones and deferred compaction in play) and the
-// ordered-set semantics fails here before it can perturb a figure.
+// implemented by construction. Any divergence between the tiered store's
+// reads (sorted base, delta tier and tombstones, with deferred merges in
+// play) and the ordered-set semantics fails here before it can perturb a
+// figure.
 
 #include "squid/overlay/chord.hpp"
 
@@ -65,7 +66,7 @@ TEST(FlatRingDifferential, ChurnAgainstOrderedSetOracle) {
   check_against_oracle(ring, members, probe_rng);
 
   // Interleave every mutation the public API offers, verifying after each
-  // batch so tombstones and compactions are both exercised mid-stream.
+  // batch so tombstones and merges are both exercised mid-stream.
   for (int round = 0; round < 30; ++round) {
     const unsigned op = static_cast<unsigned>(rng.below(5));
     switch (op) {
@@ -110,13 +111,13 @@ TEST(FlatRingDifferential, ChurnAgainstOrderedSetOracle) {
 TEST(FlatRingDifferential, RandomNodeIsKthSmallestLiveId) {
   // The seed drew k = rng.below(size) and advanced a map iterator k steps:
   // random_node must return the k-th smallest live id for the same draw,
-  // including while tombstones are pending compaction.
+  // including while tombstones are pending a merge.
   Rng rng(91);
   ChordRing ring(36);
   ring.build(90, rng);
   for (int round = 0; round < 40; ++round) {
-    // Failures tombstone without compacting (until the density threshold),
-    // so consecutive draws run against a dirty array.
+    // Failures tombstone without merging (until the store's threshold), so
+    // consecutive draws run against pending tombstones.
     if (ring.size() > 8) ring.fail(ring.random_node(rng));
     const std::vector<NodeId> ids = ring.node_ids();
     for (int draw = 0; draw < 16; ++draw) {
@@ -171,8 +172,9 @@ TEST(FlatRingDifferential, StabilizationConvergesAfterChurn) {
 
 TEST(FlatRingDifferential, TombstoneHeavyChurnStaysExact) {
   // Push the tombstone machinery hard: alternate bursts of failures (dead
-  // entries accumulate, possibly tripping threshold compaction) with single
-  // inserts (which compact eagerly), checking positional queries throughout.
+  // entries accumulate, possibly tripping the threshold merge) with single
+  // inserts (which enter the delta tier), checking positional queries
+  // throughout.
   Rng rng(2024);
   Rng probe_rng(2025);
   ChordRing ring(48);
@@ -196,6 +198,101 @@ TEST(FlatRingDifferential, TombstoneHeavyChurnStaysExact) {
     members.insert(fresh);
     check_against_oracle(ring, members, probe_rng);
   }
+}
+
+TEST(FlatRingDifferential, PendingDeltaAndTombstonesWithoutRepair) {
+  // Inserts (exact and routed joins) land in the store's delta tier and
+  // failures tombstone base entries; with no repair_all in between nothing
+  // folds them away except the store's own threshold merge, so every read
+  // below runs against both tiers pending at once.
+  Rng rng(4242);
+  Rng probe_rng(4243);
+  ChordRing ring(44, /*successors=*/8);
+  ring.build(300, rng);
+  std::set<NodeId> members;
+  for (const NodeId id : ring.node_ids()) members.insert(id);
+  for (int round = 0; round < 16; ++round) {
+    const std::size_t inserts = 1 + rng.below(6);
+    for (std::size_t i = 0; i < inserts; ++i) {
+      const NodeId id = ring.random_free_id(rng);
+      if (rng.below(2) == 0) {
+        ring.add_node_exact(id);
+      } else {
+        ASSERT_TRUE(ring.join(id, ring.random_node(rng)).ok);
+      }
+      members.insert(id);
+    }
+    const std::size_t burst = 1 + rng.below(6);
+    for (std::size_t i = 0; i < burst; ++i) {
+      const NodeId id = ring.random_node(rng);
+      ring.fail(id);
+      members.erase(id);
+    }
+    check_against_oracle(ring, members, probe_rng);
+    // random_node is the k-th smallest live id for the same draw.
+    const std::vector<NodeId> ids(members.begin(), members.end());
+    for (int draw = 0; draw < 8; ++draw) {
+      Rng expected_rng = rng;
+      const auto k = static_cast<std::size_t>(expected_rng.below(ids.size()));
+      EXPECT_EQ(ring.random_node(rng), ids[k]);
+    }
+    // Stabilization repairs successor pointers through the protocol alone;
+    // it inserts and erases nothing, so the tiers stay pending while the
+    // routes below read them.
+    ring.stabilize_all(rng, 2);
+    ASSERT_TRUE(ring.ring_consistent());
+    for (int probe = 0; probe < 24; ++probe) {
+      const u128 key = probe_rng.below128(ring.id_mask() + 1);
+      const RouteResult r = ring.route(ring.random_node(rng), key);
+      ASSERT_TRUE(r.ok);
+      EXPECT_EQ(r.dest, oracle_successor(members, key));
+    }
+  }
+}
+
+TEST(FlatRingDifferential, FailedIdRejoinsWithFreshExactState) {
+  // Failing a node tombstones its base entry; re-adding the same id
+  // resurrects that slot. The node must come back wired exactly like one
+  // that never left, with nothing of its old state surviving.
+  Rng rng(31337);
+  ChordRing ring(40, /*successors=*/4);
+  ring.build(200, rng);
+  const ChordRing untouched = ring;
+  std::set<NodeId> members;
+  for (const NodeId id : ring.node_ids()) members.insert(id);
+  Rng probe_rng(31338);
+  for (int round = 0; round < 10; ++round) {
+    const NodeId id = ring.random_node(rng);
+    ring.fail(id);
+    EXPECT_FALSE(ring.contains(id));
+    ring.add_node_exact(id);
+    const ChordNode& back = ring.node(id);
+    const ChordNode& never_left = untouched.node(id);
+    EXPECT_EQ(back.id, id);
+    EXPECT_EQ(back.predecessor, never_left.predecessor);
+    EXPECT_EQ(back.successors, never_left.successors);
+    EXPECT_EQ(back.fingers, never_left.fingers);
+    EXPECT_EQ(ring.successor_of(id), id);
+    check_against_oracle(ring, members, probe_rng);
+  }
+
+  // The routed join resurrects the slot too, with the bootstrap
+  // approximation keyed by the right id. The successor still names the
+  // failed incarnation as its predecessor; join once adopted that stale
+  // pointer, so the node became its own predecessor and successor.
+  const NodeId id = ring.random_node(rng);
+  ring.fail(id);
+  members.erase(id);
+  const RouteResult r = ring.join(id, ring.random_node(rng));
+  ASSERT_TRUE(r.ok);
+  members.insert(id);
+  EXPECT_EQ(ring.node(id).id, id);
+  EXPECT_EQ(ring.node(id).successors.front(),
+            oracle_successor(members, (id + 1) & ring.id_mask()));
+  check_against_oracle(ring, members, probe_rng);
+  ring.stabilize_all(rng, 2);
+  EXPECT_TRUE(ring.ring_consistent());
+  EXPECT_EQ(ring.node(id).predecessor, oracle_predecessor(members, id));
 }
 
 } // namespace

@@ -1,10 +1,13 @@
 // TieredStore property suite (DESIGN.md 4j): random mutation interleavings
 // against a std::map oracle, threshold invariance (every delta_cap yields
-// identical reads), order statistics, and the structural invariants.
+// identical reads), order statistics, the neighbour reads the Chord ring
+// routes through, and the structural invariants.
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
+#include <set>
 #include <vector>
 
 #include "squid/util/rng.hpp"
@@ -12,6 +15,35 @@
 
 namespace squid::util {
 namespace {
+
+/// first_at_or_after / last_before against std::set's lower_bound and its
+/// predecessor, probed at every key, one either side, and both extremes.
+void check_neighbour_reads(const TieredStore<int>& store,
+                           const std::set<u128>& oracle) {
+  std::vector<u128> probes = {0, 1, ~u128{0} - 1, ~u128{0}};
+  for (const u128 key : oracle) {
+    probes.push_back(key - 1); // wraps at 0: probes ~0 again
+    probes.push_back(key);
+    probes.push_back(key + 1); // wraps at ~0: probes 0 again
+  }
+  for (const u128 v : probes) {
+    const auto it = oracle.lower_bound(v);
+    const auto first = store.first_at_or_after(v);
+    if (it == oracle.end()) {
+      EXPECT_FALSE(first.has_value());
+    } else {
+      ASSERT_TRUE(first.has_value());
+      EXPECT_EQ(*first, *it);
+    }
+    const auto last = store.last_before(v);
+    if (it == oracle.begin()) {
+      EXPECT_FALSE(last.has_value());
+    } else {
+      ASSERT_TRUE(last.has_value());
+      EXPECT_EQ(*last, *std::prev(it));
+    }
+  }
+}
 
 /// Every merged-read surface must match the ordered-map oracle exactly.
 void check_against(const TieredStore<int>& store,
@@ -61,6 +93,10 @@ void check_against(const TieredStore<int>& store,
   }
   EXPECT_EQ(store.rank_after(0), oracle_rank(0));
   EXPECT_EQ(store.rank_after(~u128{0}), oracle.size());
+
+  std::set<u128> key_set;
+  for (const auto& [key, payload] : oracle) key_set.insert(key);
+  check_neighbour_reads(store, key_set);
 }
 
 TEST(TieredStore, RandomInterleavingsMatchMapOracle) {
@@ -155,6 +191,66 @@ TEST(TieredStore, TombstoneResurrectionKeepsSlotInPlace) {
   EXPECT_EQ(store.size(), 5u);
   ASSERT_NE(store.find(30), nullptr);
   EXPECT_EQ(*store.find(30), 777);
+  store.check_invariants();
+}
+
+TEST(TieredStore, NeighbourReadsMatchSetOracleInEveryTierState) {
+  const u128 top = ~u128{0};
+  std::set<u128> oracle;
+  const auto put = [&](TieredStore<int>& store, u128 key) {
+    store.obtain(key) = 1;
+    oracle.insert(key);
+  };
+  const auto drop = [&](TieredStore<int>& store, u128 key) {
+    EXPECT_TRUE(store.erase(key));
+    oracle.erase(key);
+  };
+
+  // Delta only: nothing has been merged yet.
+  TieredStore<int> fresh(1000); // wide cap: no merge unless asked for
+  check_neighbour_reads(fresh, oracle);
+  for (const u128 key : {u128{0}, u128{7}, top}) put(fresh, key);
+  EXPECT_EQ(fresh.delta_size(), 3u);
+  check_neighbour_reads(fresh, oracle);
+  drop(fresh, 0); // a delta erase leaves no tombstone
+  drop(fresh, top);
+  EXPECT_EQ(fresh.tombstones(), 0u);
+  check_neighbour_reads(fresh, oracle);
+
+  // Base only, holding both extreme keys.
+  oracle.clear();
+  TieredStore<int> store(1000);
+  for (const u128 key : {u128{0}, u128{10}, u128{11}, u128{12}, u128{20},
+                         top - 1, top})
+    put(store, key);
+  store.merge();
+  EXPECT_EQ(store.delta_size(), 0u);
+  check_neighbour_reads(store, oracle);
+
+  // Tombstoned: a run of adjacent dead keys and dead keys at both ends.
+  for (const u128 key : {u128{0}, u128{11}, u128{12}, top}) drop(store, key);
+  EXPECT_EQ(store.tombstones(), 4u);
+  check_neighbour_reads(store, oracle);
+
+  // Delta entries between and beside the tombstones.
+  for (const u128 key : {u128{5}, u128{13}, top - 2}) put(store, key);
+  EXPECT_EQ(store.delta_size(), 3u);
+  check_neighbour_reads(store, oracle);
+
+  // Resurrected: republished tombstones come back in place.
+  put(store, 11);
+  put(store, top);
+  EXPECT_EQ(store.tombstones(), 2u);
+  EXPECT_EQ(store.delta_size(), 3u);
+  check_neighbour_reads(store, oracle);
+
+  // Everything tombstoned but the delta, then nothing live at all.
+  for (const u128 key : {u128{10}, u128{11}, u128{20}, top - 1, top})
+    drop(store, key);
+  check_neighbour_reads(store, oracle);
+  for (const u128 key : {u128{5}, u128{13}, top - 2}) drop(store, key);
+  EXPECT_TRUE(store.empty());
+  check_neighbour_reads(store, oracle);
   store.check_invariants();
 }
 
