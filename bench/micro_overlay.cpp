@@ -27,6 +27,36 @@ void BM_Route(benchmark::State& state) {
       static_cast<double>(hops) / static_cast<double>(state.iterations());
 }
 
+void BM_RouteStale(benchmark::State& state) {
+  // The same lookups on a ring left unstabilized after churn: a tenth of
+  // the nodes failed abruptly and the predecessors of every fourth noted
+  // the timeout, so fingers and successor lists elsewhere still name dead
+  // nodes and the finger scan has to step past them.
+  Rng rng(8);
+  ChordRing ring(48);
+  const auto count = static_cast<std::size_t>(state.range(0));
+  ring.build(count, rng);
+  for (std::size_t i = 0; i < count / 10; ++i) {
+    const NodeId dead = ring.random_node(rng);
+    ring.fail(dead);
+    if (i % 4 == 0) ring.note_timeout(ring.predecessor_of(dead), dead);
+  }
+  const auto ids = ring.node_ids();
+  std::size_t hops = 0;
+  std::size_t failed = 0;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto r = ring.route(ids[i++ % ids.size()],
+                              rng.below128(static_cast<u128>(1) << 48));
+    hops += r.hops();
+    failed += r.ok ? 0 : 1;
+    benchmark::DoNotOptimize(r.dest);
+  }
+  const auto routes = static_cast<double>(state.iterations());
+  state.counters["hops/route"] = static_cast<double>(hops) / routes;
+  state.counters["failed/route"] = static_cast<double>(failed) / routes;
+}
+
 void BM_Join(benchmark::State& state) {
   Rng rng(2);
   for (auto _ : state) {
@@ -91,6 +121,7 @@ void BM_SuccessorOf(benchmark::State& state) {
 } // namespace
 
 BENCHMARK(BM_Route)->Arg(1000)->Arg(5000)->Arg(20000);
+BENCHMARK(BM_RouteStale)->Arg(5000);
 BENCHMARK(BM_Join)->Arg(1000)->Arg(5000)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_StabilizeSweep)->Arg(1000)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Build)->Arg(1000)->Arg(5400)->Unit(benchmark::kMillisecond);

@@ -148,9 +148,11 @@ struct QueryExec {
 
   // --- Resolution state (the old QueryContext) -----------------------------
   sfc::Rect rect;
-  std::set<NodeId> routing;
-  std::set<NodeId> processing;
-  std::set<NodeId> data_nodes;
+  /// Append-only node logs (repeats allowed); finalize_query counts their
+  /// distinct ids into QueryStats.
+  std::vector<NodeId> routing;
+  std::vector<NodeId> processing;
+  std::vector<NodeId> data_nodes;
   std::size_t messages = 0;
   std::vector<DataElement> results;
 

@@ -2,12 +2,12 @@
 //
 // Node identifiers are random values in [0, 2^id_bits); every key is owned
 // by its successor — the first node clockwise at or after it. Each node
-// keeps a finger table (finger[k] = successor(id + 2^k)), a predecessor, and
-// a short successor list for fault tolerance. Routing is iterative greedy
-// closest-preceding-finger, O(log N) hops on a converged ring. Joins splice
-// through routed lookups, departures are graceful notifications, failures
-// leave stale state behind that periodic stabilization repairs — exactly the
-// maintenance story of 3.2.
+// keeps a finger table (for base 2, finger[k] = successor(id + 2^k)), a
+// predecessor, and a short successor list for fault tolerance. Routing is
+// iterative greedy closest-preceding-finger, O(log N) hops on a converged
+// ring. Joins splice through routed lookups, departures are graceful
+// notifications, failures leave stale state behind that periodic
+// stabilization repairs — exactly the maintenance story of 3.2.
 //
 // The ring object owns all nodes (this is a simulator, not a network stack);
 // honesty discipline: route() and stabilization act only on the local state
@@ -27,7 +27,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "squid/overlay/id_space.hpp"
@@ -40,7 +39,9 @@ struct ChordNode {
   NodeId id = 0;
   NodeId predecessor = 0;
   bool has_predecessor = false;
-  std::vector<NodeId> fingers;    ///< fingers[k] = successor(id + 2^k)
+  /// fingers[k] = successor(finger_target_of(id, k)); for base 2 that is
+  /// successor(id + 2^k).
+  std::vector<NodeId> fingers;
   std::vector<NodeId> successors; ///< successor list, [0] = immediate
 };
 
@@ -152,8 +153,11 @@ public:
   std::size_t max_route_hops() const noexcept { return 4 * (id_bits_ + 2); }
 
 private:
-  NodeId closest_preceding_alive(const ChordNode& n, u128 key) const;
-  std::optional<NodeId> first_alive_successor(const ChordNode& n) const;
+  // Both return the live node their membership search found (its id is
+  // ->id), or null when there is none.
+  const ChordNode* closest_preceding_alive(const ChordNode& n,
+                                           u128 key) const;
+  const ChordNode* first_alive_successor(const ChordNode& n) const;
 
   /// Wire `n`'s predecessor (`pred`), successor list and the short-range
   /// finger prefix. `next(x)` yields the live id clockwise after `x`; it is

@@ -56,6 +56,13 @@ using overlay::in_open_closed;
 
 namespace {
 
+/// Distinct ids in a per-query node log (sorts the log in place).
+std::size_t distinct_count(std::vector<overlay::NodeId>& log) {
+  std::sort(log.begin(), log.end());
+  return static_cast<std::size_t>(
+      std::unique(log.begin(), log.end()) - log.begin());
+}
+
 /// The largest prefix of `seg` owned by node `at` (whose range is
 /// (pred, at]), given that `at` owns seg.lo. Returns the clipped segment.
 sfc::Segment clip_local(overlay::NodeId at, sfc::Segment seg) {
@@ -496,7 +503,7 @@ void SquidSystem::handle_resolve(const std::shared_ptr<QueryExec>& exec,
                                  std::int32_t event, std::int32_t span) const {
   QueryExec& ex = *exec;
   const NodeRuntime runtime(this);
-  ex.processing.insert(at);
+  ex.processing.push_back(at);
   if (ex.trace) {
     const std::int32_t id = ex.trace->begin(obs::SpanKind::kRefineDescend,
                                             span, event, ex.tick(event));
@@ -656,9 +663,9 @@ void SquidSystem::finalize_query(QueryExec& ex) const {
   result.elements = std::move(ex.results);
   result.stats.matches =
       ex.agg ? result.aggregate->count : result.elements.size();
-  result.stats.routing_nodes = ex.routing.size();
-  result.stats.processing_nodes = ex.processing.size();
-  result.stats.data_nodes = ex.data_nodes.size();
+  result.stats.routing_nodes = distinct_count(ex.routing);
+  result.stats.processing_nodes = distinct_count(ex.processing);
+  result.stats.data_nodes = distinct_count(ex.data_nodes);
   result.stats.messages = ex.messages;
   result.stats.retries = ex.retries;
   result.stats.failed_clusters = ex.failed_clusters;
@@ -711,7 +718,7 @@ std::shared_ptr<QueryExec> SquidSystem::make_exec(
   ex.origin = origin;
   ex.rect = query_rect(query);
   ex.dispatch_budget = 64 * (ring_.size() + 8); // churn safety valve
-  ex.routing.insert(origin);
+  ex.routing.push_back(origin);
   ex.started_at = engine.now();
 #if SQUID_OBS_ENABLED
   if (trace_enabled_) {
@@ -937,7 +944,7 @@ QueryResult SquidSystem::query_centralized(const keyword::Query& query,
   auto exec = make_exec(engine, DeliveryMode::kLockstep, query, origin);
   QueryExec& ex = *exec;
   ex.dispatch_budget += 4 * max_segments;
-  ex.processing.insert(origin);
+  ex.processing.push_back(origin);
 
   // The origin expands the refinement tree by itself (paper 3.4.1's
   // unscalable straw man) and sends one message per cluster. Segments are

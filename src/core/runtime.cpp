@@ -83,7 +83,7 @@ namespace {
 void count_send(QueryExec& ex, std::span<const overlay::NodeId> path,
                 sim::Time tick) {
   ex.messages += 1;
-  ex.routing.insert(path.begin(), path.end());
+  ex.routing.insert(ex.routing.end(), path.begin(), path.end());
   if (ex.telemetry != nullptr)
     for (const overlay::NodeId hop : path)
       ex.telemetry->record(hop, obs::LoadKind::kRouteThrough, 1, tick);
@@ -158,8 +158,8 @@ QueryExec::Leg QueryExec::dispatch_head(std::span<const NodeId> path,
 }
 
 void QueryExec::absorb_scan(ScanBuffer& scan) {
-  processing.insert(scan.at);
-  if (scan.keys_matched > 0) data_nodes.insert(scan.at);
+  processing.push_back(scan.at);
+  if (scan.keys_matched > 0) data_nodes.push_back(scan.at);
   if (agg) {
     agg_scans[scan.slot] = std::move(scan.agg);
   } else {

@@ -291,25 +291,32 @@ void ChordRing::build(std::size_t count, Rng& rng) {
 
 // --- Protocol operations -----------------------------------------------------
 
-std::optional<NodeId> ChordRing::first_alive_successor(
-    const ChordNode& n) const {
+const ChordNode* ChordRing::first_alive_successor(const ChordNode& n) const {
   for (const NodeId s : n.successors)
-    if (contains(s)) return s;
-  return std::nullopt;
+    if (const ChordNode* live = members_.find(s)) return live;
+  return nullptr;
 }
 
-NodeId ChordRing::closest_preceding_alive(const ChordNode& n, u128 key) const {
-  // Pick the live finger that makes the most clockwise progress toward key
-  // while staying strictly before it. (With base-2 fingers in ascending
-  // offset order this matches the classic descending scan.)
-  NodeId best = n.id;
+const ChordNode* ChordRing::closest_preceding_alive(const ChordNode& n,
+                                                    u128 key) const {
+  // The live finger that makes the most clockwise progress toward key while
+  // staying strictly before it (null: none does). Progress is one
+  // subtraction, so a finger pays for a membership search only when it
+  // would become the new best; scanning the largest offsets first makes
+  // that the first in-range finger on an exact table. Every finger is still
+  // visited: on a stale table (failed, departed or timed-out entries)
+  // progress is not monotone in k, and stopping at the first live in-range
+  // finger — the classic descending scan — can pick another node.
+  const u128 limit = ring_distance(n.id, key, id_bits_); // 0: whole ring
+  const ChordNode* best = nullptr;
   u128 best_progress = 0;
   for (std::size_t k = n.fingers.size(); k-- > 0;) {
     const NodeId f = n.fingers[k];
-    if (!contains(f) || !in_open_open(n.id, key, f)) continue;
     const u128 progress = ring_distance(n.id, f, id_bits_);
-    if (progress > best_progress) {
-      best = f;
+    if (progress <= best_progress || (limit != 0 && progress >= limit))
+      continue;
+    if (const ChordNode* live = members_.find(f)) {
+      best = live;
       best_progress = progress;
     }
   }
@@ -319,25 +326,29 @@ NodeId ChordRing::closest_preceding_alive(const ChordNode& n, u128 key) const {
 RouteResult ChordRing::route(NodeId from, u128 key) const {
   const RouteResult result = [&] {
     RouteResult r;
-    SQUID_REQUIRE(contains(from), "route source is not in the ring");
+    // Each hop carries the node its liveness search found, so no hop
+    // searches the membership for the node it is already standing on.
+    const ChordNode* n = members_.find(from);
+    SQUID_REQUIRE(n != nullptr, "route source is not in the ring");
     SQUID_REQUIRE(key <= id_mask(), "key exceeds the identifier space");
     NodeId cur = from;
+    r.path.reserve(max_route_hops() + 1); // one entry per hop at most
     r.path.push_back(cur);
     for (std::size_t hop = 0; hop < max_route_hops(); ++hop) {
-      const ChordNode& n = node(cur);
-      const auto succ = first_alive_successor(n);
-      if (!succ) return r; // partitioned: no live successor known
-      if (in_open_closed(cur, *succ, key)) {
+      const ChordNode* succ = first_alive_successor(*n);
+      if (succ == nullptr) return r; // partitioned: no live successor known
+      // (cur, cur] is the whole ring, so a node that lists itself as its
+      // successor always ends the route here.
+      if (in_open_closed(cur, succ->id, key)) {
         r.ok = true;
-        r.dest = *succ;
-        if (*succ != cur) r.path.push_back(*succ);
+        r.dest = succ->id;
+        if (succ->id != cur) r.path.push_back(succ->id);
         return r;
       }
-      NodeId next = closest_preceding_alive(n, key);
-      if (next == cur) next = *succ; // fingers useless: crawl the ring
-      if (next == cur) return r; // single stale node: no progress
-      r.path.push_back(next);
-      cur = next;
+      n = closest_preceding_alive(*n, key);
+      if (n == nullptr) n = succ; // fingers useless: crawl the ring
+      cur = n->id;
+      r.path.push_back(cur);
     }
     return r; // hop budget exhausted (routing loop under heavy churn)
   }();
@@ -401,17 +412,21 @@ RouteResult ChordRing::join(NodeId new_id, NodeId bootstrap) {
 void ChordRing::leave(NodeId id) {
   const ChordNode& n = node(id);
   if constexpr (obs::kEnabled) RingMetrics::get().leaves.add(1);
-  const auto succ = first_alive_successor(n);
+  const ChordNode* live = first_alive_successor(n);
   // Patch the neighbors (paper 3.2 Node Departures); distant finger tables
   // stay stale until their owners stabilize.
-  if (succ && *succ != id) {
-    ChordNode& s = node(*succ);
+  if (live != nullptr && live->id != id) {
+    const NodeId succ = live->id;
+    ChordNode& s = node(succ);
     if (n.has_predecessor && contains(n.predecessor)) {
       s.predecessor = n.predecessor;
       s.has_predecessor = true;
       ChordNode& p = node(n.predecessor);
       std::erase(p.successors, id);
-      p.successors.insert(p.successors.begin(), *succ);
+      // The leaver's successor usually follows it in the list already.
+      if (std::find(p.successors.begin(), p.successors.end(), succ) ==
+          p.successors.end())
+        p.successors.insert(p.successors.begin(), succ);
     }
   }
   const std::uint64_t merges = members_.stats().merges;
@@ -433,8 +448,10 @@ void ChordRing::stabilize(NodeId id, Rng& rng) {
   ChordNode& n = node(id);
 
   // 1. Successor repair: drop dead list entries from the front.
-  auto succ = first_alive_successor(n);
-  if (!succ) {
+  NodeId succ;
+  if (const ChordNode* live = first_alive_successor(n)) {
+    succ = live->id;
+  } else {
     // All known successors died (catastrophic). A real node would re-join
     // through an out-of-band bootstrap; model that directly.
     succ = successor_of((id + 1) & id_mask());
@@ -444,16 +461,16 @@ void ChordRing::stabilize(NodeId id, Rng& rng) {
 
   // 2. Classic stabilize: adopt the successor's predecessor if closer.
   {
-    const ChordNode& s = node(*succ);
+    const ChordNode& s = node(succ);
     if (s.has_predecessor && contains(s.predecessor) &&
-        in_open_open(id, *succ, s.predecessor)) {
+        in_open_open(id, succ, s.predecessor)) {
       succ = s.predecessor;
     }
   }
 
   // 3. Refresh the successor list from the (possibly new) successor.
-  std::vector<NodeId> fresh{*succ};
-  for (const NodeId s : node(*succ).successors) {
+  std::vector<NodeId> fresh{succ};
+  for (const NodeId s : node(succ).successors) {
     if (fresh.size() >= successor_list_len_) break;
     if (s != id && contains(s)) fresh.push_back(s);
   }
@@ -461,7 +478,7 @@ void ChordRing::stabilize(NodeId id, Rng& rng) {
 
   // 4. Notify the successor about us.
   {
-    ChordNode& s = node(*succ);
+    ChordNode& s = node(succ);
     if (!s.has_predecessor || !contains(s.predecessor) ||
         in_open_open(s.predecessor, s.id, id)) {
       s.predecessor = id;
@@ -472,14 +489,14 @@ void ChordRing::stabilize(NodeId id, Rng& rng) {
   // 5. Fix one random finger via a routed lookup (paper: each node
   // periodically "chooses a random entry in its finger table, checks for its
   // state, and updates it if required").
-  if (n.fingers.empty()) n.fingers.assign(finger_count(), *succ);
+  if (n.fingers.empty()) n.fingers.assign(finger_count(), succ);
   const auto k = static_cast<std::size_t>(rng.below(finger_count()));
   const RouteResult r = route(id, finger_target_of(id, k));
   if (r.ok) {
     node(id).fingers[k] = r.dest;
     if constexpr (obs::kEnabled) RingMetrics::get().finger_fixes.add(1);
   }
-  node(id).fingers[0] = *succ;
+  node(id).fingers[0] = succ;
 }
 
 void ChordRing::note_timeout(NodeId observer, NodeId dead) {
@@ -495,8 +512,8 @@ void ChordRing::note_timeout(NodeId observer, NodeId dead) {
   // the first alive successor — the node a timed-out RPC would retry via.
   // If the whole list died too (catastrophic), fingers fall back to self
   // and the next stabilize round re-bootstraps.
-  const auto succ = first_alive_successor(n);
-  const NodeId fallback = succ ? *succ : observer;
+  const ChordNode* succ = first_alive_successor(n);
+  const NodeId fallback = succ != nullptr ? succ->id : observer;
   for (NodeId& f : n.fingers)
     if (f == dead) f = fallback;
   if (n.has_predecessor && n.predecessor == dead) n.has_predecessor = false;
@@ -513,9 +530,9 @@ void ChordRing::stabilize_all(Rng& rng, unsigned rounds) {
 bool ChordRing::ring_consistent() const {
   bool consistent = true;
   members_.for_each([&](NodeId id, const ChordNode& n) {
-    const auto succ = first_alive_successor(n);
-    consistent = consistent && succ &&
-                 *succ == successor_of((id + 1) & id_mask());
+    const ChordNode* succ = first_alive_successor(n);
+    consistent = consistent && succ != nullptr &&
+                 succ->id == successor_of((id + 1) & id_mask());
   });
   return consistent;
 }

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "squid/util/rng.hpp"
 
@@ -131,6 +132,46 @@ TEST(Chord, GracefulLeaveKeepsRingConsistent) {
   ring.build(100, rng);
   for (int i = 0; i < 50; ++i) ring.leave(ring.random_node(rng));
   EXPECT_EQ(ring.size(), 50u);
+  EXPECT_TRUE(ring.ring_consistent());
+}
+
+TEST(Chord, GracefulLeaveKeepsSuccessorListsDistinct) {
+  Rng rng(23);
+  ChordRing ring(24, /*successors=*/4);
+  ring.build(50, rng);
+  const auto ids = ring.node_ids();
+  // Every list must be duplicate-free, and its live entries must be the
+  // start of the ground-truth successor chain (dead entries are what
+  // stabilization prunes later; leave only patches the predecessor).
+  const auto check_lists = [&](const char* when) {
+    for (const NodeId id : ring.node_ids()) {
+      const auto& list = ring.node(id).successors;
+      EXPECT_EQ(std::set<NodeId>(list.begin(), list.end()).size(),
+                list.size())
+          << when;
+      NodeId expected = id;
+      for (const NodeId s : list) {
+        if (!ring.contains(s)) continue;
+        expected = ring.successor_of((expected + 1) & ring.id_mask());
+        EXPECT_EQ(s, expected) << when;
+      }
+    }
+  };
+
+  // The leaver's successor already follows it in the predecessor's list:
+  // the list shrinks to the live prefix instead of naming it twice.
+  ring.leave(ids[10]);
+  EXPECT_EQ(ring.node(ids[9]).successors,
+            (std::vector<NodeId>{ids[11], ids[12], ids[13]}));
+  check_lists("after the first leave");
+  for (int i = 0; i < 20; ++i) {
+    ring.leave(ring.random_node(rng));
+    check_lists("after a leave");
+  }
+  // Stabilization refreshes each list from the successor's: with no
+  // duplicate to copy, none spreads.
+  ring.stabilize_all(rng, 2);
+  check_lists("after stabilization");
   EXPECT_TRUE(ring.ring_consistent());
 }
 

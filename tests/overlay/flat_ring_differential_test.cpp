@@ -12,7 +12,9 @@
 
 #include <algorithm>
 #include <iterator>
+#include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "squid/util/rng.hpp"
@@ -105,6 +107,117 @@ TEST(FlatRingDifferential, ChurnAgainstOrderedSetOracle) {
     }
     }
     check_against_oracle(ring, members, probe_rng);
+  }
+}
+
+/// The finger scan before progress gating: a membership search for every
+/// finger, then the open-interval test; the most clockwise live finger
+/// strictly before `key` wins.
+NodeId full_scan_closest_preceding(const ChordRing& ring, const ChordNode& n,
+                                   u128 key) {
+  NodeId best = n.id;
+  u128 best_progress = 0;
+  for (std::size_t k = n.fingers.size(); k-- > 0;) {
+    const NodeId f = n.fingers[k];
+    if (!ring.contains(f) || !in_open_open(n.id, key, f)) continue;
+    const u128 progress = ring_distance(n.id, f, ring.id_bits());
+    if (progress > best_progress) {
+      best = f;
+      best_progress = progress;
+    }
+  }
+  return best;
+}
+
+/// Greedy routing as specified, over the public node tables: each hop
+/// looks its node up again and scans every finger in full.
+RouteResult full_scan_route(const ChordRing& ring, NodeId from, u128 key) {
+  RouteResult r;
+  NodeId cur = from;
+  r.path.push_back(cur);
+  for (std::size_t hop = 0; hop < ring.max_route_hops(); ++hop) {
+    const ChordNode& n = ring.node(cur);
+    std::optional<NodeId> succ;
+    for (const NodeId s : n.successors) {
+      if (ring.contains(s)) {
+        succ = s;
+        break;
+      }
+    }
+    if (!succ) return r;
+    if (in_open_closed(cur, *succ, key)) {
+      r.ok = true;
+      r.dest = *succ;
+      if (*succ != cur) r.path.push_back(*succ);
+      return r;
+    }
+    NodeId next = full_scan_closest_preceding(ring, n, key);
+    if (next == cur) next = *succ;
+    if (next == cur) return r;
+    r.path.push_back(next);
+    cur = next;
+  }
+  return r;
+}
+
+TEST(FlatRingDifferential, RouteMatchesFullFingerScanOnStaleRings) {
+  // Routing on rings that churn without stabilization: failed and departed
+  // nodes linger in fingers and successor lists, joined nodes carry their
+  // successor's table, and timeouts repoint fingers at a nearby successor
+  // (so finger progress is no longer monotone in k). The route must equal
+  // the full-scan reference hop for hop.
+  for (const unsigned bits : {24u, 64u, 128u}) {
+    for (const unsigned base : {2u, 3u, 4u, 16u}) {
+      const std::string config =
+          "bits=" + std::to_string(bits) + " base=" + std::to_string(base);
+      Rng rng(bits * 100 + base);
+      ChordRing ring(bits, /*successors=*/4, base);
+      ring.build(160, rng);
+      std::vector<NodeId> gone;
+      const auto probe = [&](NodeId from, u128 key) {
+        const RouteResult got = ring.route(from, key);
+        const RouteResult want = full_scan_route(ring, from, key);
+        ASSERT_EQ(got.ok, want.ok) << config;
+        EXPECT_EQ(got.dest, want.dest) << config;
+        ASSERT_EQ(got.path, want.path) << config;
+      };
+      for (int round = 0; round < 60; ++round) {
+        switch (rng.below(5)) {
+        case 0: // routed join from a stale bootstrap (may fail to splice)
+          (void)ring.join(ring.random_free_id(rng), ring.random_node(rng));
+          break;
+        case 1:
+          if (ring.size() > 40) {
+            gone.push_back(ring.random_node(rng));
+            ring.leave(gone.back());
+          }
+          break;
+        case 2:
+        case 3:
+          if (ring.size() > 40) {
+            gone.push_back(ring.random_node(rng));
+            ring.fail(gone.back());
+          }
+          break;
+        case 4:
+          if (!gone.empty()) {
+            ring.note_timeout(ring.random_node(rng),
+                              gone[rng.below(gone.size())]);
+          }
+          break;
+        }
+        for (int i = 0; i < 8; ++i) {
+          const NodeId from = ring.random_node(rng);
+          probe(from, bits == 128 ? rng.next128()
+                                  : rng.below128(ring.id_mask() + 1));
+          probe(from, from); // the whole ring minus the source
+        }
+        const NodeId from = ring.random_node(rng);
+        probe(from, 0);
+        probe(from, ring.id_mask());
+        if (!gone.empty()) probe(from, gone[rng.below(gone.size())]);
+      }
+    }
   }
 }
 
