@@ -409,14 +409,18 @@ private:
   QueryHandle launch_async(const keyword::Query& query, NodeId origin,
                            sim::Engine& engine,
                            const AggregateSpec* aggregate) const;
+  /// Refine the clusters assigned to `at` — `head` (when non-null), then
+  /// `batch` — straight from the delivered message, without copying them.
   void handle_resolve(const std::shared_ptr<QueryExec>& exec, NodeId at,
-                      std::vector<sfc::ClusterNode> clusters,
+                      const sfc::ClusterNode* head,
+                      const std::vector<sfc::ClusterNode>& batch,
                       std::int32_t event, std::int32_t span) const;
   /// Plan the owner-chain walk over `segment` (routing + neighbor forwards,
-  /// eagerly), posting one ScanRequest per owner visited.
+  /// eagerly), posting one ScanRequest per owner visited. `pred` is
+  /// ring_.predecessor_of(at), which every caller already holds.
   void plan_chain(const std::shared_ptr<QueryExec>& exec, NodeId at,
-                  sfc::Segment segment, bool covered, std::int32_t event,
-                  std::int32_t span) const;
+                  NodeId pred, sfc::Segment segment, bool covered,
+                  std::int32_t event, std::int32_t span) const;
   /// Clusters arrive paired with their precomputed segment-lo key, sorted
   /// ascending, so batching never re-derives segments. Posts one
   /// ClusterDispatch per owner batch.

@@ -30,6 +30,8 @@
 // per descent. Differential tests (tests/sfc/cursor_test.cpp) prove the
 // cursor bit-identical to cell_of_prefix for every family, dimension, and
 // level; the seed path stays available on the virtual Curve interface.
+// Because every level's state is kept, seek() reuses the common ancestor of
+// the current and the target node instead of re-descending from the root.
 
 #pragma once
 
@@ -70,10 +72,18 @@ public:
     flip_[0] = 0;
   }
 
-  /// Position the cursor at an arbitrary tree node in O(level * dims).
+  /// Position the cursor at an arbitrary tree node. The cursor ascends to
+  /// the deepest common ancestor c of its current node and the target, then
+  /// descends the target's remaining digits: O(((level() - c) + (level - c))
+  /// * dims), so a seek to a sibling costs O(dims) and a repeat seek O(1).
+  /// The per-level orientation stack makes every ascend a pop, so the state
+  /// at c is exactly what a descent from the root would build.
   void seek(u128 prefix, unsigned level) noexcept {
-    reset();
-    for (unsigned k = 0; k < level; ++k) {
+    while (level_ > level) ascend();
+    // level_ >= 1 keeps the shift below level * dims_ <= 128.
+    while (level_ > 0 && (prefix >> ((level - level_) * dims_)) != prefix_)
+      ascend();
+    for (unsigned k = level_; k < level; ++k) {
       const unsigned rem = (level - 1 - k) * dims_;
       descend((prefix >> rem) & digit_mask_);
     }

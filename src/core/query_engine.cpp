@@ -33,7 +33,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <deque>
 #include <map>
 #include <memory>
 #include <utility>
@@ -277,8 +276,9 @@ void SquidSystem::sweep_scan(const QueryExec& ex, const msg::ScanRequest& scan,
 }
 
 void SquidSystem::plan_chain(const std::shared_ptr<QueryExec>& exec,
-                             NodeId at, sfc::Segment seg, bool covered,
-                             std::int32_t event, std::int32_t span) const {
+                             NodeId at, NodeId pred, sfc::Segment seg,
+                             bool covered, std::int32_t event,
+                             std::int32_t span) const {
   // Scan every owner of `seg` in ring order. The paper notes a cluster "may
   // be mapped to one or more adjacent nodes"; each forward to the next
   // owner is one neighbor message. The walk is *planned* here, eagerly
@@ -286,7 +286,6 @@ void SquidSystem::plan_chain(const std::shared_ptr<QueryExec>& exec,
   // sweeps are posted as ScanRequests and run at their delivery ticks.
   QueryExec& ex = *exec;
   const NodeRuntime runtime(this);
-  const NodeId pred = ring_.predecessor_of(at);
   // The owner being scanned; when `at` does not own seg.lo, routing to the
   // segment's first owner is the walk's first send.
   QueryExec::Arrival owner{true, at, event, span};
@@ -498,8 +497,8 @@ void SquidSystem::dispatch_clusters(
 }
 
 void SquidSystem::handle_resolve(const std::shared_ptr<QueryExec>& exec,
-                                 NodeId at,
-                                 std::vector<sfc::ClusterNode> clusters,
+                                 NodeId at, const sfc::ClusterNode* head,
+                                 const std::vector<sfc::ClusterNode>& batch,
                                  std::int32_t event, std::int32_t span) const {
   QueryExec& ex = *exec;
   const NodeRuntime runtime(this);
@@ -509,7 +508,7 @@ void SquidSystem::handle_resolve(const std::shared_ptr<QueryExec>& exec,
                                             span, event, ex.tick(event));
     obs::Span& s = ex.trace->at(id);
     s.node = at;
-    s.batch = static_cast<std::uint32_t>(clusters.size());
+    s.batch = static_cast<std::uint32_t>((head ? 1 : 0) + batch.size());
     span = id;
   }
   const NodeId pred = ring_.predecessor_of(at);
@@ -533,12 +532,15 @@ void SquidSystem::handle_resolve(const std::shared_ptr<QueryExec>& exec,
   // their owner chain; boundary-crossing clusters refine one level, their
   // children either staying local or queueing for dispatch.
   //
-  // Tree expansion rides the incremental cursor: one O(level*dims) seek per
-  // cluster that actually refines, then O(dims) per child cell. The query
-  // rectangle was validated once at the query entry point, so per-node work
-  // is unchecked, and children carry the relation computed at enqueue time.
+  // Tree expansion rides the incremental cursor. The work list is FIFO, so
+  // consecutive items are siblings or cousins and each seek ascends only to
+  // their common ancestor: O(dims) between siblings, then O(dims) per child
+  // cell. The query rectangle was validated once at the query entry point,
+  // so per-node work is unchecked, and children carry the relation computed
+  // at enqueue time.
   sfc::RefineCursor cursor(*curve_);
   const unsigned dims = curve_->dims();
+  const unsigned bits = curve_->bits_per_dim();
   const u128 fanout = cursor.fanout();
   using sfc::CellRelation;
   struct WorkItem {
@@ -546,11 +548,12 @@ void SquidSystem::handle_resolve(const std::shared_ptr<QueryExec>& exec,
     CellRelation relation;
     bool classified = false;
   };
-  std::deque<WorkItem> work;
-  for (const auto& cluster : clusters) work.push_back({cluster, {}, false});
-  while (!work.empty()) {
-    const WorkItem item = work.front();
-    work.pop_front();
+  std::vector<WorkItem> work;
+  work.reserve((head ? 1 : 0) + batch.size());
+  if (head) work.push_back({*head, {}, false});
+  for (const auto& cluster : batch) work.push_back({cluster, {}, false});
+  for (std::size_t next = 0; next < work.size(); ++next) {
+    const WorkItem item = work[next]; // by value: push_back may reallocate
     const sfc::ClusterNode cluster = item.node;
     CellRelation relation = item.relation;
     if (!item.classified) {
@@ -563,7 +566,7 @@ void SquidSystem::handle_resolve(const std::shared_ptr<QueryExec>& exec,
     }
     const sfc::Segment seg = refiner_.segment_of(cluster);
     if (relation == CellRelation::covered) {
-      plan_chain(exec, at, seg, /*covered=*/true, event, span);
+      plan_chain(exec, at, pred, seg, /*covered=*/true, event, span);
       continue;
     }
     const bool owns_lo = in_open_closed(pred, at, seg.lo);
@@ -574,7 +577,10 @@ void SquidSystem::handle_resolve(const std::shared_ptr<QueryExec>& exec,
                                           {}, 0, event, span});
       continue;
     }
-    if (item.classified) cursor.seek(cluster.prefix, cluster.level);
+    // A partial cell is never a single point, so level < bits and the
+    // child shift stays below 128.
+    cursor.seek(cluster.prefix, cluster.level);
+    const unsigned child_shift = (bits - cluster.level - 1) * dims;
     for (u128 w = 0; w < fanout; ++w) {
       const auto rel = cursor.classify_child(w, ex.rect);
       const sfc::ClusterNode child{
@@ -583,7 +589,7 @@ void SquidSystem::handle_resolve(const std::shared_ptr<QueryExec>& exec,
         trace_prune(child);
         continue;
       }
-      const u128 child_lo = refiner_.segment_of(child).lo;
+      const u128 child_lo = seg.lo | (w << child_shift);
       if (in_open_closed(pred, at, child_lo)) {
         work.push_back({child, rel, true});
       } else {
@@ -961,8 +967,9 @@ QueryResult SquidSystem::query_centralized(const keyword::Query& query,
     ex.trace->at(span).batch = static_cast<std::uint32_t>(segments.size());
   }
 
+  const NodeId pred = ring_.predecessor_of(origin);
   for (const sfc::Segment& seg : segments) {
-    plan_chain(exec, origin, seg, /*covered=*/false, /*event=*/0, span);
+    plan_chain(exec, origin, pred, seg, /*covered=*/false, /*event=*/0, span);
   }
   NodeRuntime(this).maybe_complete(exec);
   drive_to_completion(engine, exec);

@@ -268,17 +268,16 @@ void NodeRuntime::deliver(const std::shared_ptr<QueryExec>& exec,
   struct V {
     const NodeRuntime& rt;
     const std::shared_ptr<QueryExec>& exec;
+    // The planner reads the clusters in place while it posts new messages;
+    // that is safe because sim::Engine::step moves each event out of its
+    // queue before running it, so the message stays put until deliver
+    // returns.
     void operator()(const msg::ResolveRequest& r) const {
-      rt.sys_->handle_resolve(exec, r.at, r.clusters.clusters, r.event,
-                              r.span);
+      rt.sys_->handle_resolve(exec, r.at, nullptr, r.clusters.clusters,
+                              r.event, r.span);
     }
     void operator()(const msg::ClusterDispatch& d) const {
-      std::vector<sfc::ClusterNode> clusters;
-      clusters.reserve(1 + d.batch.clusters.size());
-      clusters.push_back(d.head);
-      clusters.insert(clusters.end(), d.batch.clusters.begin(),
-                      d.batch.clusters.end());
-      rt.sys_->handle_resolve(exec, d.to, std::move(clusters), d.event,
+      rt.sys_->handle_resolve(exec, d.to, &d.head, d.batch.clusters, d.event,
                               d.span);
     }
     void operator()(const msg::ScanRequest& s) const {

@@ -19,10 +19,14 @@ namespace squid::sfc {
 namespace {
 
 Rect random_rect(Rng& rng, unsigned dims, std::uint64_t max_coord) {
+  // 64-bit axes span the whole word, where max_coord + 1 wraps to 0.
+  const auto coord = [&] {
+    return max_coord == ~std::uint64_t{0} ? rng() : rng.below(max_coord + 1);
+  };
   Rect rect;
   for (unsigned d = 0; d < dims; ++d) {
-    const std::uint64_t a = rng.below(max_coord + 1);
-    const std::uint64_t b = rng.below(max_coord + 1);
+    const std::uint64_t a = coord();
+    const std::uint64_t b = coord();
     rect.dims.push_back({std::min(a, b), std::max(a, b)});
   }
   return rect;
@@ -82,6 +86,141 @@ std::vector<Segment> reference_decompose(const Curve& curve, const Rect& query,
     }
   }
   return out;
+}
+
+/// `prefix` extended by one digit / cut back by `up` levels, with the
+/// d = 128 shifts defined.
+u128 child_of(u128 prefix, unsigned d, u128 digit) {
+  return (d >= 128 ? 0 : prefix << d) | digit;
+}
+u128 ancestor_of(u128 prefix, unsigned d, unsigned up) {
+  return up * d >= 128 ? 0 : prefix >> (up * d);
+}
+
+/// Everything a cursor exposes about its node, checked against a freshly
+/// built cursor seeked from the root and against cell_of_prefix/point_of.
+void expect_matches_fresh(const Curve& curve, const RefineCursor& cursor,
+                          u128 prefix, unsigned level, const Rect& rect,
+                          Rng& rng) {
+  const unsigned d = curve.dims();
+  const unsigned b = curve.bits_per_dim();
+  RefineCursor fresh(curve);
+  fresh.seek(prefix, level);
+  ASSERT_EQ(cursor.level(), level);
+  ASSERT_EQ(cursor.prefix(), prefix) << "level " << level;
+  InlineRect got;
+  InlineRect want;
+  cursor.cell(got);
+  fresh.cell(want);
+  ASSERT_EQ(got.to_rect(), want.to_rect()) << "level " << level;
+  ASSERT_EQ(got.to_rect(), curve.cell_of_prefix(prefix, level));
+  const CellRelation rel = reference_relation(curve, prefix, level, rect);
+  ASSERT_EQ(cursor.relation_to(rect), fresh.relation_to(rect));
+  ASSERT_EQ(cursor.relation_to(rect), rel);
+  if (level < b) {
+    // Every child when the fanout is small, a random sample otherwise.
+    const u128 fanout = cursor.fanout();
+    const bool all = fanout != 0 && fanout <= 64;
+    const u128 count = all ? fanout : 8;
+    for (u128 k = 0; k < count; ++k) {
+      const u128 w = all ? k : rng.next128() & low_mask(d);
+      const CellRelation child_rel = cursor.classify_child(w, rect);
+      ASSERT_EQ(child_rel, fresh.classify_child(w, rect));
+      ASSERT_EQ(child_rel, reference_relation(curve, child_of(prefix, d, w),
+                                              level + 1, rect))
+          << "level " << level << " child " << static_cast<unsigned>(w);
+    }
+  }
+  Point entry(d);
+  Point fresh_entry(d);
+  cursor.entry_point(entry.data());
+  fresh.entry_point(fresh_entry.data());
+  ASSERT_EQ(entry, fresh_entry);
+  const unsigned shift = (b - level) * d;
+  ASSERT_EQ(entry, curve.point_of(shift >= 128 ? 0 : prefix << shift));
+}
+
+/// Random seek sequences in the shapes the planner produces — the same node,
+/// siblings, cousins, ancestors, descendants, the root, unrelated deep cells
+/// — interleaved with descend/ascend walks. Each seek starts from wherever
+/// the previous step left the cursor, so a stale common-ancestor state
+/// shows up as a mismatch against a fresh cursor.
+void check_incremental_seeks(const Curve& curve, std::uint64_t seed,
+                             int steps) {
+  const unsigned d = curve.dims();
+  const unsigned b = curve.bits_per_dim();
+  RefineCursor cursor(curve);
+  Rng rng(seed);
+  const auto random_digits = [&](unsigned levels) {
+    return rng.next128() & low_mask(levels * d);
+  };
+  u128 prefix = 0;
+  unsigned level = 0;
+  Rect rect = random_rect(rng, d, curve.max_coord());
+  for (int step = 0; step < steps; ++step) {
+    if (step % 16 == 0) rect = random_rect(rng, d, curve.max_coord());
+    switch (rng.below(9)) {
+      case 0: // the same node again
+        break;
+      case 1: // a sibling
+        if (level >= 1)
+          prefix = child_of(ancestor_of(prefix, d, 1), d, random_digits(1));
+        break;
+      case 2: // a cousin: same level, a random nearer-the-root ancestor
+        if (level >= 2) {
+          const unsigned up = 2 + static_cast<unsigned>(rng.below(level - 1));
+          prefix = ancestor_of(prefix, d, up);
+          for (unsigned k = 0; k < up; ++k)
+            prefix = child_of(prefix, d, random_digits(1));
+        }
+        break;
+      case 3: { // an ancestor
+        const unsigned to = static_cast<unsigned>(rng.below(level + 1));
+        prefix = ancestor_of(prefix, d, level - to);
+        level = to;
+        break;
+      }
+      case 4: { // a descendant
+        const unsigned to =
+            level + static_cast<unsigned>(rng.below(b - level + 1));
+        for (; level < to; ++level)
+          prefix = child_of(prefix, d, random_digits(1));
+        break;
+      }
+      case 5: // the root
+        prefix = 0;
+        level = 0;
+        break;
+      case 6: // an unrelated deep cell
+        level = b / 2 + static_cast<unsigned>(rng.below(b - b / 2 + 1));
+        prefix = random_digits(level);
+        break;
+      case 7: { // a descend walk, no seek
+        const unsigned n = static_cast<unsigned>(rng.below(b - level + 1));
+        for (unsigned k = 0; k < n; ++k, ++level) {
+          const u128 w = random_digits(1);
+          cursor.descend(w);
+          prefix = child_of(prefix, d, w);
+        }
+        ASSERT_NO_FATAL_FAILURE(
+            expect_matches_fresh(curve, cursor, prefix, level, rect, rng));
+        continue;
+      }
+      case 8: { // an ascend walk, no seek
+        const unsigned n = static_cast<unsigned>(rng.below(level + 1));
+        for (unsigned k = 0; k < n; ++k) cursor.ascend();
+        prefix = ancestor_of(prefix, d, n);
+        level -= n;
+        ASSERT_NO_FATAL_FAILURE(
+            expect_matches_fresh(curve, cursor, prefix, level, rect, rng));
+        continue;
+      }
+    }
+    cursor.seek(prefix, level);
+    ASSERT_NO_FATAL_FAILURE(
+        expect_matches_fresh(curve, cursor, prefix, level, rect, rng))
+        << "step " << step;
+  }
 }
 
 using Config = std::tuple<std::string, unsigned, unsigned>;
@@ -229,6 +368,10 @@ TEST_P(CursorOracle, DecomposeCappedIsUnchangedFromReferenceEngine) {
   }
 }
 
+TEST_P(CursorOracle, IncrementalSeekMatchesFreshCursor) {
+  check_incremental_seeks(*curve_, 49, 1000);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllFamilies, CursorOracle,
     ::testing::Values(Config{"hilbert", 1, 16}, Config{"hilbert", 2, 8},
@@ -245,8 +388,9 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(Cursor, SeekAfterDeepWalkRestoresState) {
-  // Interleave seeks and walks to make sure seek fully rebuilds the
-  // orientation stack (no stale state survives).
+  // Interleave seeks and walks: seek keeps the orientation stack up to the
+  // common ancestor and rebuilds only below it, so a walk's deeper levels
+  // must never leak into the next seek's state.
   const auto curve = make_curve("hilbert", 3, 8);
   RefineCursor cursor(*curve);
   Rng rng(47);
@@ -283,6 +427,22 @@ TEST(Cursor, HandlesMaxGeometryCurves) {
       ASSERT_EQ(got.to_rect(), curve->cell_of_prefix(prefix, level))
           << family << " level " << level;
     }
+  }
+}
+
+TEST(Cursor, IncrementalSeekHandlesMaxGeometryCurves) {
+  // The geometries of HandlesMaxGeometryCurves plus d = 128, b = 1: every
+  // shift guard of the common-ancestor test (d * b = 128, level 0).
+  for (auto [family, d, b] : {std::tuple<const char*, unsigned, unsigned>
+                                  {"hilbert", 2, 64},
+                              {"zorder", 2, 64},
+                              {"hilbert", 64, 2},
+                              {"gray", 63, 2},
+                              {"hilbert", 128, 1}}) {
+    SCOPED_TRACE(std::string(family) + " d" + std::to_string(d) + " b" +
+                 std::to_string(b));
+    const auto curve = make_curve(family, d, b);
+    check_incremental_seeks(*curve, 50, 150);
   }
 }
 
