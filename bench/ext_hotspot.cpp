@@ -8,7 +8,7 @@
 //   hotspot.onset event (the PR 8 panel);
 //
 //   reaction — the same run with the ReactionController closing the loop
-//   (median-key splits onto cold peers, hot-cluster replication with
+//   (median-key splits, hot-cluster replication on cold peers with
 //   invalidation on republish; docs/LOAD_BALANCING.md), reported as
 //   before/after-onset Gini and critical-path latency percentiles, for all
 //   three delivery modes (kLockstep / kVirtualTime / kParallel).

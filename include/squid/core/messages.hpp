@@ -88,11 +88,11 @@ struct ScanRequest {
   std::uint32_t slot = 0;
   std::int32_t event = 0;
   std::int32_t span = -1;
-  /// Non-zero: answer from the hot-cluster replica entry with this id
-  /// (docs/LOAD_BALANCING.md) — `at` is a replica peer and the sweep runs
-  /// over the entry's snapshot instead of the live store. A scan whose entry
-  /// was invalidated or dropped in flight falls back to the live store, so
-  /// it can never serve stale data.
+  /// Non-zero: answer for the hot-cluster replica entry with this id
+  /// (docs/LOAD_BALANCING.md) — `at` is a replica peer, and the matched
+  /// keys count toward the entry's served load. The sweep reads the live
+  /// store like every scan (a valid entry's keys are the store's keys), so
+  /// an entry invalidated or dropped in flight can never serve stale data.
   std::uint64_t replica = 0;
 
   friend bool operator==(const ScanRequest&, const ScanRequest&) = default;

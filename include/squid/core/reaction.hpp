@@ -7,20 +7,18 @@
 // (HotspotDetector::set_sink, the event bus out of the detector) and reacts
 // online, per closed epoch:
 //
-//   onset  -> SPLIT the hot node at its median key, hosting the new half on
-//             a cold peer (VirtualNodeManager::split_virtual when virtual
-//             nodes are managed; a plain ring split otherwise). Only
-//             owner-side hotspots split — a node whose epoch load is
-//             dominated by transit routing gets no action, because its heat
-//             is a symptom of some owner's crowd and disappears once that
-//             owner's cluster is served;
+//   onset  -> SPLIT the hot node at its median key (a new ring node at
+//             SquidSystem::median_split_id). Only owner-side hotspots
+//             split — a node whose epoch load is dominated by transit
+//             routing gets no action, because its heat is a symptom of some
+//             owner's crowd and disappears once that owner's cluster is
+//             served;
 //   still hot after `replicate_after` epochs
-//          -> REPLICATE the hot node's cluster: snapshot it into the
-//             system's replica cache (SquidSystem::install_replica) on
-//             sampled cold peers, optionally mirroring the copies into
-//             the ReplicationManager's durability bookkeeping; reads of the
-//             cluster are then served one hop away from the replicas, with
-//             invalidation on republish (a stale read is impossible);
+//          -> REPLICATE the hot node's cluster: install it in the system's
+//             replica cache (SquidSystem::install_replica) on sampled cold
+//             peers; reads of the cluster are then served one hop away by
+//             the replicas while the entry is valid, and a republish inside
+//             the cluster invalidates it (a stale read is impossible);
 //   clear  -> DRAIN: keep the entry serving (serving is precisely what
 //             cooled the owner — dropping on clear would re-ignite it next
 //             epoch and flap), and DROP it only once its per-epoch absorbed
@@ -48,9 +46,6 @@
 
 namespace squid::core {
 
-class VirtualNodeManager;
-class ReplicationManager;
-
 struct ReactionConfig {
   /// Master switch: off = detection only (the PR 8 behavior), bit-identical
   /// to running without a controller.
@@ -61,15 +56,15 @@ struct ReactionConfig {
   /// Initial replica peers serving a hot cluster (sampled cold peers — see
   /// cold_replicas for why NOT the ring successors). Clients spread across
   /// the whole set (the dispatch pick hashes the query origin), so a wider
-  /// set flattens the served load further at the cost of more snapshots.
+  /// set flattens the served load further at the cost of more peers
+  /// carrying borrowed load.
   unsigned replica_factor = 8;
   /// Adaptive widening cap: while any host of a served entry runs hot
   /// itself (borrowed load — the detector watches hosts like any node),
   /// the maintenance pass adds replica_factor more cold hosts per epoch,
   /// up to this many, splitting the served demand further.
   unsigned replica_max = 32;
-  /// Candidate peers sampled per choice when hosting a split half
-  /// (VirtualNodeManager::split_virtual) or a replica (cold_replicas).
+  /// Candidate peers sampled per replica slot (cold_replicas).
   unsigned cold_probes = 4;
   /// Total split budget: caps the split cascade a broad crowd can trigger.
   /// Deliberately small — a split only pays off when ONE owner holds the
@@ -85,7 +80,7 @@ struct ReactionConfig {
   /// moves demand between owners, where a split would lengthen every route
   /// for nothing — replication redistributes it instead.
   double split_surge_factor = 2.0;
-  /// Re-snapshot an invalidated entry at epoch close while its node is
+  /// Re-validate an invalidated entry at epoch close while its node is
   /// still hot (off: the entry stays cold until the crowd clears).
   bool refresh_invalidated = true;
   /// Draining: consecutive epochs the entry's absorbed demand must stay
@@ -111,7 +106,7 @@ struct ReactionReport {
   std::size_t splits = 0;       ///< median-key splits triggered
   std::size_t replications = 0; ///< replica-cache entries installed
   std::size_t widens = 0;       ///< replica sets widened (hosts ran hot)
-  std::size_t refreshes = 0;    ///< invalidated entries re-snapshotted
+  std::size_t refreshes = 0;    ///< invalidated entries re-validated
   std::size_t drops = 0;        ///< drained entries dropped (demand gone)
 };
 
@@ -130,17 +125,6 @@ public:
   /// `seed` drives cold-peer sampling only.
   ReactionController(SquidSystem& sys, obs::HotspotConfig detector_config,
                      ReactionConfig config, std::uint64_t seed);
-
-  /// Split through the manager's hosting layer instead of bare ring splits.
-  /// The manager must manage `sys`'s network; not owned, must outlive us.
-  void attach_virtual_nodes(VirtualNodeManager* manager) noexcept {
-    virtual_nodes_ = manager;
-  }
-  /// Mirror hot-cluster copies into durability bookkeeping
-  /// (ReplicationManager::replicate_range). Not owned, must outlive us.
-  void attach_replication(ReplicationManager* replication) noexcept {
-    replication_ = replication;
-  }
 
   /// Feed one closed epoch (in order): runs the detector, then reacts to
   /// the transitions it fired. Safe to call in any delivery mode — epoch
@@ -174,7 +158,7 @@ private:
   /// The deepest refinement-tree cluster covering the keys `node` owns —
   /// the cluster id replica-cache entries are keyed by.
   sfc::ClusterNode covering_cluster(NodeId node) const;
-  /// Up to `count` distinct COLD peers to host `node`'s cluster snapshot,
+  /// Up to `count` distinct COLD peers to serve `node`'s cluster,
   /// chosen by power-of-d-choices sampling (cold_probes candidates per
   /// slot, lowest detector baseline wins, hot nodes excluded). Not the ring
   /// successors: a crowd heats a contiguous ring segment, so successors of
@@ -191,8 +175,6 @@ private:
   SquidSystem& sys_;
   ReactionConfig config_;
   obs::HotspotDetector detector_;
-  VirtualNodeManager* virtual_nodes_ = nullptr;
-  ReplicationManager* replication_ = nullptr;
   Rng rng_;
   std::map<NodeId, NodeState> states_;
   /// EWMA of the ring-wide epoch load total, frozen while any node is hot;

@@ -51,19 +51,6 @@ public:
   /// (the repair traffic).
   std::size_t repair();
 
-  /// Targeted replication for the reaction controller
-  /// (docs/LOAD_BALANCING.md): bring every tracked key in the index range
-  /// [lo, hi] up to max(factor, copies) live copies along its current owner
-  /// chain — the durability bookkeeping behind serving a hot cluster from
-  /// `copies` replicas. Returns copies transferred.
-  std::size_t replicate_range(u128 lo, u128 hi, unsigned copies);
-
-  /// The key's current owner plus its next distinct ring successors, up to
-  /// `copies` peers (factor() by default). The reaction controller uses it
-  /// to pick the replica set that serves a hot cluster.
-  std::vector<SquidSystem::NodeId> owner_chain_of(u128 key,
-                                                  unsigned copies) const;
-
   /// Keys that currently have zero live copies (unrecoverable).
   std::size_t lost_keys() const;
   /// Keys below target replication (repair backlog).
@@ -76,6 +63,8 @@ public:
   bool alive(u128 key) const;
 
 private:
+  /// The key's current owner plus its next factor() - 1 distinct ring
+  /// successors (fewer on a smaller ring).
   std::vector<SquidSystem::NodeId> owner_chain(u128 key) const;
 
   SquidSystem& sys_;

@@ -272,34 +272,37 @@ public:
   }
 
   // --- Hot-cluster replica cache (docs/LOAD_BALANCING.md) -------------------
-  // The reaction controller's serving tier: a replicated, versioned snapshot
-  // of one cluster's stored keys, keyed by cluster id (level, prefix).
+  // The reaction controller's serving tier: a replicated, versioned view of
+  // one cluster's stored keys, keyed by cluster id (level, prefix).
   // dispatch_clusters consults it before routing — a dispatch whose cluster
   // falls inside a *valid* entry is sent one hop to one of the entry's
-  // replica peers, which answers from the snapshot. publish / publish_batch /
-  // unpublish of any key inside an entry's segment invalidates the entry
-  // (version bump, valid=false): an invalid entry stops serving (dispatches
-  // fall back to routing, so a stale read is structurally impossible) until
-  // refresh_replica() re-snapshots it. With no entries installed the consult
-  // is a single empty() branch, which is the reaction layer's half of the
-  // bit-transparency lock (tests/core/reaction_test.cpp).
+  // replica peers (when that peer is still a ring member), which answers
+  // with a sweep of the cluster's segment. publish / publish_batch /
+  // unpublish are the only store writers, and each invalidates every entry
+  // whose segment it touches (version bump, valid=false) before returning:
+  // a valid entry's keys are therefore exactly the live store's keys in its
+  // segment, so replica scans read the live store and no entry holds a
+  // copy. An invalid entry stops serving (dispatches fall back to routing)
+  // until refresh_replica() re-validates it. With no entries installed the
+  // consult is a single empty() branch, which is the reaction layer's half
+  // of the bit-transparency lock (tests/core/reaction_test.cpp).
 
   struct ReplicaCacheStats {
     std::uint64_t serves = 0;        ///< dispatches answered from a replica
     std::uint64_t stale_skips = 0;   ///< consults finding only invalid entries
     std::uint64_t invalidations = 0; ///< valid → invalid transitions
-    std::uint64_t refreshes = 0;     ///< re-snapshots (refresh_replica)
+    std::uint64_t refreshes = 0;     ///< re-validations (refresh_replica)
   };
 
   /// Install (or replace) the replica set serving reads for the cluster
-  /// (level, prefix): snapshots the cluster's stored keys now and serves
-  /// later dispatches of that cluster — or any descendant — from `replicas`.
+  /// (level, prefix): later dispatches of that cluster — or any descendant
+  /// — are served from `replicas` while the entry stays valid.
   /// Returns the entry id (stable until drop_replica). Replicas must be live
   /// peers; the set must be non-empty.
   std::uint64_t install_replica(unsigned level, u128 prefix,
                                 std::vector<NodeId> replicas);
-  /// Re-snapshot an (invalidated) entry from the live store and mark it
-  /// valid again, bumping its version. Returns false for unknown ids.
+  /// Mark an (invalidated) entry valid again, bumping its version: its
+  /// replicas serve the store's current keys. Returns false for unknown ids.
   bool refresh_replica(std::uint64_t id);
   /// Remove an entry; its cluster is served by routing again.
   bool drop_replica(std::uint64_t id);
@@ -429,27 +432,18 @@ private:
       const std::vector<std::pair<u128, sfc::ClusterNode>>& clusters,
       std::int32_t event, std::int32_t span) const;
   /// ScanRequest work: sweep this peer's slice of the store into `out` and
-  /// size its reply. Reads only exec's rect and origin, so kParallel shards
-  /// run it concurrently with home-shard planning; QueryExec::absorb_scan
-  /// merges the buffer afterwards. For aggregate requests
-  /// (scan.agg.kind != kNone) the matches fold into out.agg instead.
+  /// size its reply (a replica scan sweeps the same live store and credits
+  /// the entry's serve counter). Reads only exec's rect and origin, so
+  /// kParallel shards run it concurrently with home-shard planning;
+  /// QueryExec::absorb_scan merges the buffer afterwards. For aggregate
+  /// requests (scan.agg.kind != kNone) the matches fold into out.agg
+  /// instead.
   void sweep_scan(const QueryExec& exec, const msg::ScanRequest& scan,
                   ScanBuffer& out) const;
   /// The live-store walk: visit stored keys in [segment.lo, segment.hi],
   /// filter by `rect` unless `covered`, and collect or fold into `out`.
   void scan_segment(const sfc::Rect& rect, sfc::Segment segment, bool covered,
                     ScanBuffer& out) const;
-  /// The same sweep over an explicit (index, payload) array pair: replica
-  /// scans (ScanRequest::replica != 0) run it over the entry's snapshot.
-  void scan_arrays(const std::vector<u128>& index,
-                   const std::vector<StoredKey>& data, const sfc::Rect& rect,
-                   sfc::Segment segment, bool covered, ScanBuffer& out) const;
-  /// Dispatch a scan to its arrays: replica == 0 sweeps the live store
-  /// (scan_segment); otherwise the entry's snapshot when it is still present
-  /// and valid, else the live store (an entry invalidated or dropped while
-  /// the scan was in flight must not serve its stale snapshot).
-  void scan_slice(std::uint64_t replica, const sfc::Rect& rect,
-                  sfc::Segment segment, bool covered, ScanBuffer& out) const;
   /// Reply delivery: assemble QueryResult, close the trace, publish
   /// metrics, release the cache guard, stamp completed_at.
   void finalize_query(QueryExec& exec) const;
@@ -487,11 +481,9 @@ private:
     unsigned level = 0;
     u128 prefix = 0;
     sfc::Segment segment{};            ///< index range the cluster covers
-    std::vector<NodeId> replicas;      ///< peers serving the snapshot
+    std::vector<NodeId> replicas;      ///< peers serving the cluster
     std::uint64_t version = 1;         ///< bumped on invalidate and refresh
     bool valid = true;                 ///< false after a covered republish
-    std::vector<u128> snapshot_index;  ///< snapshot: sorted keys in segment
-    std::vector<StoredKey> snapshot_data;
     /// Load this entry absorbed, in the owner's units: keys its replica
     /// scans matched (exactly the scan_hits the owner would otherwise have
     /// recorded) — the controller's demand signal for draining entries
@@ -508,8 +500,10 @@ private:
   /// Scan-side hook: credit `matched` keys of served load to entry `id`
   /// (no-op for id 0 / dropped entries). Called from sweep_scan.
   void note_replica_serve(std::uint64_t id, std::uint64_t matched) const;
-  /// Copy the live store's keys in `entry.segment` into its snapshot.
-  void snapshot_replica(ReplicaEntry& entry);
+  /// Run one store mutation and credit the tier merges it triggered to
+  /// squid.store.merges (publish, publish_batch and unpublish; defined in
+  /// system.cpp, their only user).
+  template <class Mutate> void mutate_store(Mutate&& mutate);
   /// Publish-side hook: invalidate every valid entry whose segment covers
   /// a key of `touched` (index-sorted: one key for publish/unpublish, the
   /// whole batch for publish_batch). One binary search per entry, and

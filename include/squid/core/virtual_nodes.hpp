@@ -8,12 +8,9 @@
 // view). Migration moves only the hosting assignment, so it is much cheaper
 // than the identifier moves of the boundary-exchange algorithm.
 //
-// The split/migrate actions are exposed as event-driven primitives
-// (split_virtual, migrate_heaviest): the periodic balance_round sweep is
-// now one caller among two — the reaction controller (core/reaction.hpp)
-// invokes the same primitives from `hotspot.onset` events, so a flash crowd
-// is answered when the detector fires instead of whenever the next round
-// happens to run (docs/LOAD_BALANCING.md).
+// The split/migrate actions are exposed as primitives (split_virtual,
+// migrate_heaviest) that the periodic balance_round sweep composes and
+// callers can invoke directly.
 
 #pragma once
 
@@ -39,14 +36,13 @@ public:
   /// Sum of virtual-node loads per physical peer.
   std::vector<std::size_t> physical_loads() const;
 
-  // --- Event-driven primitives (docs/LOAD_BALANCING.md) --------------------
+  // --- Primitives ---------------------------------------------------------
 
   /// Split virtual node `hot` at its median key: the new identifier takes
   /// the first half of `hot`'s keys as a fresh virtual node, hosted by the
   /// least-loaded of `probes` sampled peers (a cold peer under a crowd).
-  /// This is balance_round's phase-1 step and the reaction controller's
-  /// `hotspot.onset` handler. Returns the new virtual node's id; nullopt
-  /// when `hot` has too few keys or its median id is unusable.
+  /// This is balance_round's phase-1 step. Returns the new virtual node's
+  /// id; nullopt when `hot` has too few keys or its median id is unusable.
   std::optional<SquidSystem::NodeId> split_virtual(SquidSystem::NodeId hot,
                                                    unsigned probes, Rng& rng);
 

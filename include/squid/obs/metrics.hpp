@@ -160,4 +160,16 @@ private:
       histograms_;
 };
 
+/// Add `n` to the global counter `name`: a registry lookup per call, so for
+/// cold paths only (hot paths keep a function-local static handle). Dead
+/// code with the obs layer compiled out.
+inline void bump(std::string_view name, std::uint64_t n = 1) {
+  if constexpr (kEnabled) {
+    Registry::global().counter(name).add(n);
+  } else {
+    (void)name;
+    (void)n;
+  }
+}
+
 } // namespace squid::obs

@@ -322,18 +322,6 @@ public:
     return out;
   }
 
-  /// Copy the live slots in [lo, hi] into parallel arrays (replica
-  /// snapshots).
-  void snapshot_range(u128 lo, u128 hi, std::vector<u128>& keys,
-                      std::vector<Payload>& payloads) const {
-    keys.clear();
-    payloads.clear();
-    scan(lo, hi, [&](u128 key, const Payload& payload) {
-      keys.push_back(key);
-      payloads.push_back(payload);
-    });
-  }
-
   /// Structural invariants, for tests: tiers sorted and disjoint,
   /// tombstones a subset of base keys with cleared payloads.
   void check_invariants() const {

@@ -164,7 +164,7 @@ private:
 /// under one keyword prefix (hot_fraction of new elements share the hot
 /// word's prefix region), so one arc of the ring absorbs most inserts —
 /// and, once the reaction controller replicates the hot cluster, every such
-/// publish invalidates the snapshot, exercising the
+/// publish invalidates the replica entry, exercising the
 /// invalidation-then-refresh path of the replica cache under a realistic
 /// update stream. Queries stay the baseline mix.
 struct SkewedPublisherConfig {

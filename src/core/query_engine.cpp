@@ -81,19 +81,6 @@ std::uint64_t next_query_id() {
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
-/// Longest root-to-leaf hop total of a timing DAG (events reference earlier
-/// parents only, so one forward pass suffices).
-std::size_t critical_path_of(const std::vector<TimingEvent>& timing) {
-  std::vector<std::size_t> depth(timing.size(), 0);
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < timing.size(); ++i) {
-    depth[i] = depth[static_cast<std::size_t>(timing[i].parent)] +
-               timing[i].hops;
-    best = std::max(best, depth[i]);
-  }
-  return best;
-}
-
 /// Per-query registry publishing (one shot at query end; handles resolved
 /// once). Dead code when the obs layer is compiled out.
 void publish_query_metrics(const QueryStats& stats, bool complete) {
@@ -171,28 +158,25 @@ void SquidSystem::set_telemetry(obs::EpochSampler* sampler) noexcept {
 
 namespace {
 
-/// The per-key filter/fold body shared by the live tiered walk and the flat
-/// replica snapshots, so their accounting is identical by construction.
-/// Aggregate scans (the buffer's record carries a spec) fold matches into
-/// the record; element scans collect them. `Key` is SquidSystem's private
-/// StoredKey (templated to keep it so).
-template <class Key>
-void visit_scanned_key(const Key& key, const sfc::Rect& rect, bool covered,
-                       ScanBuffer& out) {
+/// The per-key filter/fold body of scan_segment. Aggregate scans (the
+/// buffer's record carries a spec) fold matches into the record; element
+/// scans collect them.
+void visit_scanned_key(const sfc::Point& point,
+                       const std::vector<DataElement>& elements,
+                       const sfc::Rect& rect, bool covered, ScanBuffer& out) {
   ++out.keys_scanned;
-  if (!covered && !rect.contains(key.point)) return;
+  if (!covered && !rect.contains(point)) return;
   ++out.keys_matched;
-  out.matches += key.elements.size();
+  out.matches += elements.size();
   if (out.agg.partial.spec.kind != AggregateKind::kNone) {
-    for (const DataElement& e : key.elements) {
+    for (const DataElement& e : elements) {
       out.agg.partial.fold(e);
       // What shipping this element instead would have cost; feeds the
       // bytes_saved counter, so skip the serializer when obs is off.
       if constexpr (obs::kEnabled) out.agg.ship_bytes += element_wire_size(e);
     }
   } else {
-    out.elements.insert(out.elements.end(), key.elements.begin(),
-                        key.elements.end());
+    out.elements.insert(out.elements.end(), elements.begin(), elements.end());
   }
 }
 
@@ -204,25 +188,8 @@ void SquidSystem::scan_segment(const sfc::Rect& rect, sfc::Segment seg,
   // order, tombstones skipped entirely (a retracted key is invisible to
   // keys_scanned, exactly as if it had never been published).
   store_.scan(seg.lo, seg.hi, [&](u128, const StoredKey& key) {
-    visit_scanned_key(key, rect, covered, out);
+    visit_scanned_key(key.point, key.elements, rect, covered, out);
   });
-}
-
-void SquidSystem::scan_slice(std::uint64_t replica, const sfc::Rect& rect,
-                             sfc::Segment seg, bool covered,
-                             ScanBuffer& out) const {
-  if (replica != 0) {
-    const auto it = replica_cache_.find(replica);
-    if (it != replica_cache_.end() && it->second.valid) {
-      scan_arrays(it->second.snapshot_index, it->second.snapshot_data, rect,
-                  seg, covered, out);
-      return;
-    }
-    // Invalidated or dropped while the scan was in flight: answer from the
-    // live store instead — a replica may be behind, but it must never be
-    // stale-served (docs/LOAD_BALANCING.md, invalidation protocol).
-  }
-  scan_segment(rect, seg, covered, out);
 }
 
 void SquidSystem::note_replica_serve(std::uint64_t id,
@@ -231,18 +198,6 @@ void SquidSystem::note_replica_serve(std::uint64_t id,
   const auto it = replica_cache_.find(id);
   if (it != replica_cache_.end())
     it->second.serves->fetch_add(matched, std::memory_order_relaxed);
-}
-
-void SquidSystem::scan_arrays(const std::vector<u128>& index,
-                              const std::vector<StoredKey>& data,
-                              const sfc::Rect& rect, sfc::Segment seg,
-                              bool covered, ScanBuffer& out) const {
-  // One contiguous sweep over a flat array pair (replica snapshots): binary
-  // search to the segment start, then walk index/payloads in lockstep.
-  std::size_t i = static_cast<std::size_t>(
-      std::lower_bound(index.begin(), index.end(), seg.lo) - index.begin());
-  for (; i < index.size() && index[i] <= seg.hi; ++i)
-    visit_scanned_key(data[i], rect, covered, out);
 }
 
 void SquidSystem::sweep_scan(const QueryExec& ex, const msg::ScanRequest& scan,
@@ -259,7 +214,10 @@ void SquidSystem::sweep_scan(const QueryExec& ex, const msg::ScanRequest& scan,
   // `out.elements` may already hold earlier results lent by the caller;
   // this scan's reply covers only what it appends.
   const std::size_t first = out.elements.size();
-  scan_slice(scan.replica, ex.rect, scan.segment, scan.covered, out);
+  // A replica scan reads the live store too: a valid entry's keys are the
+  // store's keys in its segment, and an entry invalidated or dropped while
+  // the scan was in flight must answer with the current keys anyway.
+  scan_segment(ex.rect, scan.segment, scan.covered, out);
   note_replica_serve(scan.replica, out.keys_matched);
   if (scan.agg.kind != AggregateKind::kNone) return;
   // Reply-path accounting: this scan site answers the origin directly with
@@ -343,18 +301,24 @@ void SquidSystem::dispatch_clusters(
 
     // Hot-cluster replica consult (docs/LOAD_BALANCING.md): a valid entry
     // covering this cluster is answered one hop away by one of its replica
-    // peers, from the entry's snapshot — no overlay routing, no refinement
-    // at the owner, no owner-chain walk. The peer choice is stateless
-    // ((prefix + origin) mod replica count — origin is part of the query
-    // spec, so every delivery mode and shard count picks the same peer,
-    // while different clients of one hot cluster still fan out across the
-    // replica set). While no entries are installed this whole branch is one
-    // empty() check — the reaction layer's bit-transparency lock
+    // peers — no overlay routing, no refinement at the owner, no
+    // owner-chain walk. The peer choice is stateless ((prefix + origin) mod
+    // replica count — origin is part of the query spec, so every delivery
+    // mode and shard count picks the same peer, while different clients of
+    // one hot cluster still fan out across the replica set). A picked peer
+    // that has since failed or left the ring cannot answer: the dispatch
+    // falls through to the owner cache and routing as if no entry matched.
+    // While no entries are installed this whole branch is one empty() check
+    // — the reaction layer's bit-transparency lock
     // (tests/core/reaction_test.cpp) rests on that.
     if (!replica_cache_.empty()) {
-      if (const ReplicaEntry* entry = replica_serving(head)) {
-        const NodeId replica = entry->replicas[static_cast<std::size_t>(
-            (head.prefix + ex.origin) % entry->replicas.size())];
+      const ReplicaEntry* entry = replica_serving(head);
+      const NodeId replica =
+          entry == nullptr ? 0
+                           : entry->replicas[static_cast<std::size_t>(
+                                 (head.prefix + ex.origin) %
+                                 entry->replicas.size())];
+      if (entry != nullptr && ring_.contains(replica)) {
         replica_counters_->serves.fetch_add(1, std::memory_order_relaxed);
         const NodeId direct[] = {from, replica};
         const QueryExec::Leg leg = ex.dispatch_head(
@@ -372,9 +336,9 @@ void SquidSystem::dispatch_clusters(
             s.range_hi = head_lo;
             s.end = ex.tick(arrive);
           }
-          // The replica answers the whole cluster from its snapshot: one
-          // scan over the cluster's segment, rectangle-filtered (the
-          // snapshot holds every key in the segment, matching or not).
+          // The replica answers the whole cluster: one scan over the
+          // cluster's segment, rectangle-filtered (the entry covers every
+          // key in the segment, matching or not).
           runtime.post(exec, msg::ScanRequest{ex.id, replica,
                                               refiner_.segment_of(head),
                                               /*covered=*/false, {}, 0,
@@ -678,7 +642,9 @@ void SquidSystem::finalize_query(QueryExec& ex) const {
   result.stats.bytes_shipped = ex.bytes_shipped;
   result.stats.reply_messages = ex.reply_messages;
   result.timing = std::move(ex.timing);
-  result.stats.critical_path_hops = critical_path_of(result.timing);
+  // add_event keeps every event's hop-depth: the critical path is the max.
+  result.stats.critical_path_hops = static_cast<std::size_t>(
+      *std::max_element(ex.depth.begin(), ex.depth.end()));
 #if SQUID_OBS_ENABLED
   if (ex.trace) {
     ex.trace->at(ex.root_span).end =

@@ -3,23 +3,11 @@
 #include <algorithm>
 #include <tuple>
 
-#include "squid/core/replication.hpp"
-#include "squid/core/virtual_nodes.hpp"
 #include "squid/obs/metrics.hpp"
-#include "squid/util/require.hpp"
 
 namespace squid::core {
 
 namespace {
-
-void bump(const char* name, std::uint64_t n = 1) {
-  if constexpr (obs::kEnabled) {
-    obs::Registry::global().counter(name).add(n);
-  } else {
-    (void)name;
-    (void)n;
-  }
-}
 
 /// The node's LoadVector in this window (zero if it sat idle).
 obs::LoadVector node_load(const obs::EpochSample& sample,
@@ -77,8 +65,8 @@ sfc::ClusterNode ReactionController::covering_cluster(NodeId node) const {
 std::vector<ReactionController::NodeId>
 ReactionController::cold_replicas(NodeId node, unsigned count) {
   // Power-of-d-choices placement: per replica slot, sample cold_probes
-  // candidates and host the snapshot on the coldest (lowest detector
-  // baseline; never a currently-hot node). The obvious alternative — the
+  // candidates and serve from the coldest (lowest detector baseline; never
+  // a currently-hot node). The obvious alternative — the
   // owner's ring successors, as in Chord durability chains — backfires
   // here: a flash crowd heats a CONTIGUOUS ring segment (the SFC maps the
   // hot keyword prefix to one interval), so a hot owner's successors are
@@ -145,23 +133,13 @@ void ReactionController::react_onset(const obs::HotspotEvent& event,
   // surge this onset is demand RELOCATED (e.g. a diurnal focus shift), and
   // escalation to replication redistributes it without growing the ring.
   if (!ring_surge_) return;
-  // Split the hot node at its median key. Through the virtual-node manager
-  // the new half lands on a sampled cold peer; bare ring splits model the
-  // same move without a hosting layer (the new identifier IS the cold
-  // peer's virtual join).
-  bool split = false;
-  if (virtual_nodes_ != nullptr) {
-    split = virtual_nodes_->split_virtual(event.node, config_.cold_probes,
-                                          rng_)
-                .has_value();
-  } else if (const auto median = sys_.median_split_id(event.node)) {
+  // Split the hot node at its median key: the new identifier takes over
+  // the lower half of its keys.
+  if (const auto median = sys_.median_split_id(event.node)) {
     sys_.add_node_at(*median);
-    split = true;
-  }
-  if (split) {
     ++splits_done_;
     ++report.splits;
-    bump("squid.balance.reaction.splits");
+    obs::bump("squid.balance.reaction.splits");
   }
 }
 
@@ -218,7 +196,7 @@ void ReactionController::maybe_widen(NodeId node, NodeState& state,
                                      state.hosts);
   state.last_serves = 0;
   ++report.widens;
-  bump("squid.balance.reaction.widens");
+  obs::bump("squid.balance.reaction.widens");
 }
 
 void ReactionController::escalate(const obs::EpochSample& sample,
@@ -227,8 +205,8 @@ void ReactionController::escalate(const obs::EpochSample& sample,
   for (auto& [node, state] : states_) {
     if (state.phase == Phase::kSplit) {
       // A split that did not cool the node within replicate_after epochs
-      // escalates to replication: snapshot its cluster onto its successors
-      // and serve reads from them.
+      // escalates to replication: serve its cluster's reads from sampled
+      // cold peers.
       if (!detector_.is_hot(node)) continue;
       if (epoch < state.onset_epoch + config_.replicate_after) continue;
       const std::vector<NodeId> replicas =
@@ -243,27 +221,15 @@ void ReactionController::escalate(const obs::EpochSample& sample,
       state.cluster = cluster;
       for (const NodeId host : replicas) ++hosted_[host];
       ++report.replications;
-      bump("squid.balance.reaction.replications");
-      if (replication_ != nullptr) {
-        // Mirror the copies into durability bookkeeping: every key in the
-        // served cluster now has owner + replica_factor live copies.
-        const unsigned dims = sys_.curve().dims();
-        const unsigned index_bits = sys_.curve().index_bits();
-        const unsigned shift = index_bits - cluster.level * dims;
-        const u128 lo = shift >= 128 ? 0 : cluster.prefix << shift;
-        const u128 hi =
-            shift >= 128 ? ~static_cast<u128>(0) >> (128 - index_bits)
-                         : lo + ((static_cast<u128>(1) << shift) - 1);
-        replication_->replicate_range(lo, hi, config_.replica_factor + 1);
-      }
+      obs::bump("squid.balance.reaction.replications");
     } else if (state.phase == Phase::kReplicated && state.entry != 0) {
-      // Republished data invalidated the snapshot: re-sync it while the
+      // Republished data invalidated the entry: re-validate it while the
       // node is still hot, so serving resumes next epoch.
       if (config_.refresh_invalidated && detector_.is_hot(node) &&
           !sys_.replica_valid(state.entry)) {
         sys_.refresh_replica(state.entry);
         ++report.refreshes;
-        bump("squid.balance.reaction.refreshes");
+        obs::bump("squid.balance.reaction.refreshes");
       }
       // Keep the serve-counter window one epoch wide, so a clear arriving
       // next epoch drains against the demand absorbed SINCE this close —
@@ -302,7 +268,7 @@ void ReactionController::escalate(const obs::EpochSample& sample,
           }
           state = NodeState{};
           ++report.drops;
-          bump("squid.balance.reaction.drops");
+          obs::bump("squid.balance.reaction.drops");
         }
       } else {
         // Still absorbing a live crowd — the drain is nominal (the OWNER

@@ -1,7 +1,5 @@
 #include "squid/core/replication.hpp"
 
-#include <algorithm>
-
 #include "squid/obs/metrics.hpp"
 #include "squid/util/require.hpp"
 
@@ -14,42 +12,16 @@ ReplicationManager::ReplicationManager(SquidSystem& sys, unsigned factor)
   place_all();
 }
 
-std::vector<SquidSystem::NodeId> ReplicationManager::owner_chain_of(
-    u128 key, unsigned copies) const {
-  // The owner and its copies-1 distinct ring successors.
+std::vector<SquidSystem::NodeId> ReplicationManager::owner_chain(
+    u128 key) const {
   std::vector<SquidSystem::NodeId> chain;
   const auto& ring = sys_.ring();
   SquidSystem::NodeId at = ring.successor_of(key);
-  for (unsigned i = 0; i < copies && chain.size() < ring.size(); ++i) {
+  for (unsigned i = 0; i < factor_ && chain.size() < ring.size(); ++i) {
     chain.push_back(at);
     at = ring.successor_of((at + 1) & ring.id_mask());
   }
   return chain;
-}
-
-std::vector<SquidSystem::NodeId> ReplicationManager::owner_chain(
-    u128 key) const {
-  return owner_chain_of(key, factor_);
-}
-
-std::size_t ReplicationManager::replicate_range(u128 lo, u128 hi,
-                                                unsigned copies) {
-  const unsigned target = std::max(copies, factor_);
-  std::size_t transfers = 0;
-  for (auto it = holders_.lower_bound(lo);
-       it != holders_.end() && it->first <= hi; ++it) {
-    auto& owners = it->second;
-    if (owners.empty()) continue; // unrecoverable
-    for (const auto node : owner_chain_of(it->first, target)) {
-      if (owners.size() >= target) break;
-      if (owners.insert(node).second) ++transfers;
-    }
-  }
-  if constexpr (obs::kEnabled)
-    obs::Registry::global()
-        .counter("squid.replication.hotspot_transfers")
-        .add(transfers);
-  return transfers;
 }
 
 void ReplicationManager::place_all() {

@@ -8,21 +8,6 @@
 
 namespace squid::core {
 
-namespace {
-
-/// One relaxed-atomic bump on a pre-resolved registry handle; dead code
-/// with the obs layer compiled out.
-void bump(const char* name, std::uint64_t n = 1) {
-  if constexpr (obs::kEnabled) {
-    obs::Registry::global().counter(name).add(n);
-  } else {
-    (void)name;
-    (void)n;
-  }
-}
-
-} // namespace
-
 SquidSystem::SquidSystem(keyword::KeywordSpace space, SquidConfig config)
     : space_(std::move(space)), config_(std::move(config)),
       curve_(sfc::make_curve(config_.curve, space_.dims(),
@@ -71,7 +56,7 @@ SquidSystem::NodeId SquidSystem::join_node(Rng& rng) {
     }
   }
   ring_.add_node_exact(best);
-  bump("squid.balance.sampled_joins");
+  obs::bump("squid.balance.sampled_joins");
   return best;
 }
 
@@ -106,14 +91,20 @@ bool place_element(std::vector<DataElement>& slot, const DataElement& element) {
 
 } // namespace
 
+template <class Mutate> void SquidSystem::mutate_store(Mutate&& mutate) {
+  const std::uint64_t merges_before = store_.stats().merges;
+  mutate();
+  if (store_.stats().merges != merges_before)
+    obs::bump("squid.store.merges", store_.stats().merges - merges_before);
+}
+
 void SquidSystem::publish(const DataElement& element) {
   const u128 index = index_of_element(element);
-  const std::uint64_t merges_before = store_.stats().merges;
-  StoredKey& key = store_.obtain(index);
-  if (key.elements.empty()) key.point = space_.encode(element.keys);
-  if (place_element(key.elements, element)) ++element_count_;
-  if (store_.stats().merges != merges_before)
-    bump("squid.store.merges", store_.stats().merges - merges_before);
+  mutate_store([&] {
+    StoredKey& key = store_.obtain(index);
+    if (key.elements.empty()) key.point = space_.encode(element.keys);
+    if (place_element(key.elements, element)) ++element_count_;
+  });
   if (!replica_cache_.empty()) invalidate_replicas({&index, 1});
   if constexpr (obs::kEnabled) {
     static obs::Counter& publishes =
@@ -126,7 +117,6 @@ void SquidSystem::publish(const DataElement& element) {
 
 void SquidSystem::publish_batch(const std::vector<DataElement>& elements) {
   if (elements.empty()) return;
-  const std::uint64_t merges_before = store_.stats().merges;
   // Arrival order within a key must match sequential publish, so sort the
   // batch by (index, arrival position).
   std::vector<std::pair<u128, std::size_t>> order;
@@ -136,8 +126,8 @@ void SquidSystem::publish_batch(const std::vector<DataElement>& elements) {
   std::sort(order.begin(), order.end());
 
   std::size_t added = 0; // elements that were NEW, not last-write-wins hits
-  store_.bulk_update([&](std::vector<u128>& key_index,
-                         std::vector<StoredKey>& key_data) {
+  const auto merge_batch = [&](std::vector<u128>& key_index,
+                               std::vector<StoredKey>& key_data) {
     std::vector<u128> merged_index;
     std::vector<StoredKey> merged_data;
     merged_index.reserve(key_index.size() + elements.size());
@@ -174,17 +164,16 @@ void SquidSystem::publish_batch(const std::vector<DataElement>& elements) {
     }
     key_index = std::move(merged_index);
     key_data = std::move(merged_data);
-  });
+  };
+  mutate_store([&] { store_.bulk_update(merge_batch); });
   element_count_ += added;
-  if (store_.stats().merges != merges_before)
-    bump("squid.store.merges", store_.stats().merges - merges_before);
   if (!replica_cache_.empty()) {
     std::vector<u128> touched;
     touched.reserve(order.size());
     for (const auto& [index, pos] : order) touched.push_back(index);
     invalidate_replicas(touched); // already index-sorted
   }
-  bump("squid.system.publishes", elements.size());
+  obs::bump("squid.system.publishes", elements.size());
   if constexpr (obs::kEnabled) {
     if (telemetry_ != nullptr) {
       // `order` is index-sorted, so elements landing on one owner are
@@ -217,16 +206,11 @@ bool SquidSystem::unpublish(const DataElement& element) {
   if (found == elements.end()) return false;
   elements.erase(found);
   --element_count_;
-  if (elements.empty()) {
-    // The key vanishes with its last element: tombstoned in the tiered
-    // store, O(log K + |delta|) instead of the flat store's O(K) erase.
-    const std::uint64_t merges_before = store_.stats().merges;
-    store_.erase(index);
-    if (store_.stats().merges != merges_before)
-      bump("squid.store.merges", store_.stats().merges - merges_before);
-  }
+  // The key vanishes with its last element: tombstoned in the tiered store,
+  // O(log K + |delta|) instead of the flat store's O(K) erase.
+  if (elements.empty()) mutate_store([&] { store_.erase(index); });
   if (!replica_cache_.empty()) invalidate_replicas({&index, 1});
-  bump("squid.system.unpublishes");
+  obs::bump("squid.system.unpublishes");
   if constexpr (obs::kEnabled) {
     if (telemetry_ != nullptr)
       telemetry_->record_now(owner_of(index), obs::LoadKind::kRetract, 1);
@@ -246,11 +230,10 @@ std::uint64_t SquidSystem::install_replica(unsigned level, u128 prefix,
   entry.prefix = prefix;
   entry.segment = refiner_.segment_of(sfc::ClusterNode{prefix, level});
   entry.replicas = std::move(replicas);
-  snapshot_replica(entry);
   const std::uint64_t id = next_replica_id_++;
   entry.id = id;
   replica_cache_.emplace(id, std::move(entry));
-  bump("squid.balance.replica.installs");
+  obs::bump("squid.balance.replica.installs");
   return id;
 }
 
@@ -258,11 +241,10 @@ bool SquidSystem::refresh_replica(std::uint64_t id) {
   const auto it = replica_cache_.find(id);
   if (it == replica_cache_.end()) return false;
   ReplicaEntry& entry = it->second;
-  snapshot_replica(entry);
   entry.valid = true;
   ++entry.version;
   replica_counters_->refreshes.fetch_add(1, std::memory_order_relaxed);
-  bump("squid.balance.replica.refreshes");
+  obs::bump("squid.balance.replica.refreshes");
   return true;
 }
 
@@ -299,13 +281,6 @@ SquidSystem::ReplicaCacheStats SquidSystem::replica_stats() const {
   return stats;
 }
 
-void SquidSystem::snapshot_replica(ReplicaEntry& entry) {
-  // The snapshot is a flat, merged copy of the live slots in the segment —
-  // replica scans sweep plain arrays regardless of the live store's tiers.
-  store_.snapshot_range(entry.segment.lo, entry.segment.hi,
-                        entry.snapshot_index, entry.snapshot_data);
-}
-
 const SquidSystem::ReplicaEntry* SquidSystem::replica_serving(
     const sfc::ClusterNode& cluster) const {
   const ReplicaEntry* best = nullptr;
@@ -339,7 +314,7 @@ void SquidSystem::invalidate_replicas(std::span<const u128> touched) {
     entry.valid = false;
     ++entry.version;
     replica_counters_->invalidations.fetch_add(1, std::memory_order_relaxed);
-    bump("squid.balance.replica.invalidations");
+    obs::bump("squid.balance.replica.invalidations");
   }
 }
 
@@ -431,7 +406,7 @@ std::size_t SquidSystem::runtime_balance_sweep(double threshold) {
       ring_.add_node_exact(boundary);
       ++moves;
       ++balance_moves_;
-      bump("squid.balance.moves");
+      obs::bump("squid.balance.moves");
     } else if (static_cast<double>(load_pred) >
                threshold *
                    static_cast<double>(std::max<std::size_t>(load_self, 1))) {
@@ -448,10 +423,10 @@ std::size_t SquidSystem::runtime_balance_sweep(double threshold) {
       ring_.add_node_exact(boundary);
       ++moves;
       ++balance_moves_;
-      bump("squid.balance.moves");
+      obs::bump("squid.balance.moves");
     }
   }
-  bump("squid.balance.sweeps");
+  obs::bump("squid.balance.sweeps");
   return moves;
 }
 

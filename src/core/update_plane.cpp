@@ -33,15 +33,6 @@ namespace squid::core {
 
 namespace {
 
-void bump(const char* name, std::uint64_t n = 1) {
-  if constexpr (obs::kEnabled) {
-    obs::Registry::global().counter(name).add(n);
-  } else {
-    (void)name;
-    (void)n;
-  }
-}
-
 /// One op, planned: the wire verdict plus the arrival tick its delivery
 /// lands at. `result` carries the cost accounting (hops/messages/retries/
 /// bytes) and the delivered flag; commit later fills applied/completed_at.
@@ -181,7 +172,7 @@ UpdateRun apply_updates(SquidSystem& sys, const std::vector<UpdateOp>& ops,
     run.bytes += r.bytes;
     run.makespan = std::max(run.makespan, r.completed_at);
   }
-  if (retracts > 0) bump("squid.system.retracts", retracts);
+  if (retracts > 0) obs::bump("squid.system.retracts", retracts);
   return run;
 }
 

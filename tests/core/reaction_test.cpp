@@ -1,9 +1,10 @@
 // The hotspot reaction loop (docs/LOAD_BALANCING.md): the replica cache's
 // invalidation protocol (a stale read is structurally impossible, faults
-// off AND on), the controller's bit-transparency when disabled, the
-// determinism of its reactions across all three delivery modes and shard
-// counts, and the split -> replicate -> drain state machine driven through
-// synthetic epoch samples.
+// off AND on), served answers equal to routed ones, replica hosts that
+// left the ring never answering, the controller's bit-transparency when
+// disabled, the determinism of its reactions across all three delivery
+// modes and shard counts, and the split -> replicate -> drain state machine
+// driven through synthetic epoch samples.
 
 #include <gtest/gtest.h>
 
@@ -11,13 +12,16 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "squid/core/aggregate.hpp"
 #include "squid/core/parallel.hpp"
 #include "squid/core/reaction.hpp"
 #include "squid/core/system.hpp"
 #include "squid/core/update.hpp"
 #include "squid/obs/telemetry.hpp"
+#include "squid/obs/trace.hpp"
 #include "squid/sim/engine.hpp"
 #include "squid/sim/fault.hpp"
 #include "squid/util/rng.hpp"
@@ -82,11 +86,11 @@ TEST(ReplicaInvalidation, RepublishMakesStaleReadsImpossible) {
   EXPECT_FALSE(world.sys->replica_valid(entry));
   auto after = names_of(world.sys->query(q, origin));
   EXPECT_TRUE(after.count("fresh") == 1)
-      << "invalidated entry kept serving its stale snapshot";
+      << "invalidated entry kept serving a stale answer";
   for (const auto& name : before) EXPECT_EQ(after.count(name), 1u) << name;
 
-  // Refresh re-snapshots the live store: serving resumes and the snapshot
-  // now contains the element that invalidated it.
+  // Refresh re-validates the entry: serving resumes and the served answer
+  // contains the element that invalidated it.
   ASSERT_TRUE(world.sys->refresh_replica(entry));
   EXPECT_TRUE(world.sys->replica_valid(entry));
   const auto served = world.sys->replica_stats().serves;
@@ -95,7 +99,7 @@ TEST(ReplicaInvalidation, RepublishMakesStaleReadsImpossible) {
   EXPECT_GT(world.sys->replica_stats().serves, served);
 
   // Unpublish invalidates too: the removed element must never resurrect
-  // from a snapshot, refreshed or not.
+  // from a replica, refreshed or not.
   ASSERT_TRUE(world.sys->unpublish(fresh));
   EXPECT_FALSE(world.sys->replica_valid(entry));
   EXPECT_EQ(names_of(world.sys->query(q, origin)).count("fresh"), 0u);
@@ -124,7 +128,7 @@ TEST(ReplicaInvalidation, NoStaleReadsUnderFaults) {
   ASSERT_TRUE(world.sys->refresh_replica(entry));
 
   // Under message loss a query may legitimately miss matches — but it must
-  // never RETURN the unpublished element, from the snapshot or anywhere
+  // never RETURN the unpublished element, from a replica or anywhere
   // else, no matter which legs drop or duplicate.
   for (int trial = 0; trial < 20; ++trial) {
     const auto origin = world.sys->ring().random_node(rng);
@@ -137,14 +141,14 @@ TEST(ReplicaInvalidation, NoStaleReadsUnderFaults) {
 TEST(ReplicaInvalidation, RoutedRetractInvalidatesSynchronously) {
   // The update plane's retract commits through SquidSystem::unpublish, so a
   // hot-cluster replica covering the key is invalidated before
-  // retract_update returns — a crowd being served from the snapshot can
+  // retract_update returns — a crowd being served by the replicas can
   // never be handed the retracted element afterwards.
   World world = make_world(0x91, 48, 1500);
   Rng rng(0x92);
   const DataElement fresh{"fresh", {"aaa", "aaa"}};
   world.sys->publish(fresh);
   const std::uint64_t entry = install_root_entry(*world.sys, rng, 3);
-  ASSERT_TRUE(world.sys->replica_valid(entry)); // snapshot contains fresh
+  ASSERT_TRUE(world.sys->replica_valid(entry)); // installed after fresh
 
   const keyword::Query q{{keyword::Prefix{"a"}, keyword::Any{}}};
   const auto origin = world.sys->ring().random_node(rng);
@@ -158,12 +162,12 @@ TEST(ReplicaInvalidation, RoutedRetractInvalidatesSynchronously) {
   EXPECT_EQ(names_of(world.sys->query(q, origin)).count("fresh"), 0u);
   ASSERT_TRUE(world.sys->refresh_replica(entry));
   EXPECT_EQ(names_of(world.sys->query(q, origin)).count("fresh"), 0u)
-      << "the re-snapshot resurrected a retracted element";
+      << "the refresh resurrected a retracted element";
 }
 
 TEST(ReplicaInvalidation, RoutedRetractUnderFaultsNeverServesStale) {
   // Retracts through a heavily-dropping update plane: an op that is LOST
-  // must leave both the element and the snapshot untouched, an op that is
+  // must leave both the element and the entry untouched, an op that is
   // APPLIED must invalidate before the call returns. Queries run with no
   // injector attached, so every read below is exact — the only uncertainty
   // is which retracts survived the wire.
@@ -200,6 +204,193 @@ TEST(ReplicaInvalidation, RoutedRetractUnderFaultsNeverServesStale) {
       ASSERT_TRUE(world.sys->refresh_replica(entry));
     }
   }
+}
+
+/// Every peer that ran a local scan for `r` (empty without a trace).
+std::set<SquidSystem::NodeId> scan_sites(const QueryResult& r) {
+  std::set<SquidSystem::NodeId> sites;
+  if (r.trace == nullptr) return sites;
+  for (const obs::Span& span : r.trace->spans)
+    if (span.kind == obs::SpanKind::kLocalScan) sites.insert(span.node);
+  return sites;
+}
+
+/// Fail or gracefully remove `hosts` from the ring.
+enum class Departure { kFail, kLeave };
+
+void depart(SquidSystem& sys, const std::vector<SquidSystem::NodeId>& hosts,
+            Departure how) {
+  for (const auto host : hosts) {
+    if (how == Departure::kFail) {
+      sys.fail_node(host);
+    } else {
+      sys.leave_node(host);
+    }
+  }
+  sys.repair_routing();
+}
+
+/// Root entry on three hosts, then `departed` of them fail or leave. A
+/// replica host that is no longer a ring member cannot answer: dispatches
+/// it would have served fall back to routing, so no scan ever runs on a
+/// departed peer and every answer equals the routed answer of a twin world
+/// without the entry.
+void expect_departed_hosts_never_serve(Departure how, std::size_t departed) {
+  World world = make_world(0x11, 48, 1500);
+  World twin = make_world(0x11, 48, 1500);
+  world.sys->set_tracing(true);
+  const auto ids = world.sys->ring().node_ids();
+  const std::vector<SquidSystem::NodeId> hosts = {ids[5], ids[17], ids[29]};
+  const std::uint64_t entry = world.sys->install_replica(0, 0, hosts);
+  const std::vector<SquidSystem::NodeId> gone(hosts.begin(),
+                                              hosts.begin() + departed);
+  depart(*world.sys, gone, how);
+  depart(*twin.sys, gone, how);
+  ASSERT_TRUE(world.sys->replica_valid(entry)); // membership never invalidates
+
+  Rng rng(0x13);
+  const keyword::Query q{{keyword::Prefix{"a"}, keyword::Any{}}};
+  const auto serves_before = world.sys->replica_stats().serves;
+  for (int trial = 0; trial < 20; ++trial) {
+    const auto origin = world.sys->ring().random_node(rng);
+    const QueryResult served = world.sys->query(q, origin);
+    const QueryResult routed = twin.sys->query(q, origin);
+    EXPECT_TRUE(served.complete) << "trial " << trial;
+    EXPECT_EQ(names_of(served), names_of(routed)) << "trial " << trial;
+    for (const auto site : scan_sites(served))
+      EXPECT_TRUE(world.sys->ring().contains(site))
+          << "a departed peer answered on trial " << trial;
+  }
+  const auto serves = world.sys->replica_stats().serves - serves_before;
+  if (departed == hosts.size()) {
+    EXPECT_EQ(serves, 0u) << "an entry with no live host must not serve";
+  } else {
+    EXPECT_GT(serves, 0u) << "the live host should still serve";
+  }
+}
+
+TEST(ReplicaServing, FailedHostsFallBackToRouting) {
+  expect_departed_hosts_never_serve(Departure::kFail, 3);
+}
+
+TEST(ReplicaServing, DepartedHostsFallBackToRouting) {
+  expect_departed_hosts_never_serve(Departure::kLeave, 3);
+}
+
+TEST(ReplicaServing, OneLiveHostKeepsServing) {
+  expect_departed_hosts_never_serve(Departure::kFail, 2);
+}
+
+/// An element answer as a comparable multiset.
+std::vector<DataElement> sorted_elements(const QueryResult& r) {
+  std::vector<DataElement> out = r.elements;
+  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+    return std::tie(a.name, a.keys) < std::tie(b.name, b.keys);
+  });
+  return out;
+}
+
+/// One query's full answer: the element multiset plus the count, sum and
+/// top-k partials of its aggregate twins.
+struct FullAnswer {
+  std::vector<DataElement> elements;
+  std::vector<AggregatePartial> aggregates;
+  bool operator==(const FullAnswer&) const = default;
+};
+
+TEST(ReplicaInvalidation, ServedAnswersEqualRoutedAnswers) {
+  // A string keyword plus a numeric attribute, so kSum and kTopK have a
+  // payload to read.
+  const char letters[] = "abcde";
+  SquidSystem sys(keyword::KeywordSpace({keyword::StringCodec(letters, 3),
+                                         keyword::NumericCodec(0.0, 64.0, 6)}));
+  Rng rng(0x71);
+  sys.build_network(40, rng);
+  const auto word = [&] {
+    std::string w;
+    for (std::uint64_t j = rng.range(1, 3); j-- > 0;)
+      w.push_back(letters[rng.below(5)]);
+    return w;
+  };
+  for (int i = 0; i < 600; ++i) {
+    const double value = static_cast<double>(rng.below(96)) / 1.5;
+    sys.publish(DataElement{"e" + std::to_string(i), {word(), value}});
+  }
+
+  std::vector<keyword::Query> queries;
+  for (int i = 0; i < 36; ++i) {
+    keyword::Query q;
+    if (i % 3 == 0) {
+      q.terms.push_back(keyword::Any{});
+    } else if (i % 3 == 1) {
+      q.terms.push_back(keyword::Prefix{word()});
+    } else {
+      q.terms.push_back(keyword::Whole{word()});
+    }
+    const double lo = static_cast<double>(rng.below(48));
+    q.terms.push_back(
+        keyword::NumRange{lo, lo + static_cast<double>(rng.range(4, 32))});
+    queries.push_back(std::move(q));
+  }
+  std::vector<SquidSystem::NodeId> origins;
+  for (std::size_t i = 0; i < queries.size(); ++i)
+    origins.push_back(sys.ring().random_node(rng));
+  std::vector<AggregateSpec> specs(3);
+  specs[0].kind = AggregateKind::kCount;
+  specs[1].kind = AggregateKind::kSum;
+  specs[1].dim = 1;
+  specs[2].kind = AggregateKind::kTopK;
+  specs[2].dim = 1;
+  specs[2].k = 5;
+
+  const auto answer = [&](std::size_t i) {
+    FullAnswer a;
+    a.elements = sorted_elements(sys.query(queries[i], origins[i]));
+    for (const AggregateSpec& spec : specs)
+      a.aggregates.push_back(
+          *sys.query_aggregate(queries[i], spec, origins[i]).aggregate);
+    return a;
+  };
+  // Every query answered with a valid root entry serving every dispatch,
+  // then again by routing once the entry is dropped.
+  const auto compare_served_to_routed = [&](std::uint64_t entry,
+                                            const char* phase) {
+    ASSERT_TRUE(sys.replica_valid(entry)) << phase;
+    const auto serves_before = sys.replica_stats().serves;
+    std::vector<FullAnswer> served;
+    std::size_t answered = 0; // queries with at least one match
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      served.push_back(answer(i));
+      answered += served.back().elements.empty() ? 0 : 1;
+    }
+    EXPECT_GT(sys.replica_stats().serves, serves_before) << phase;
+    EXPECT_GT(answered, queries.size() / 2) << phase;
+    ASSERT_TRUE(sys.drop_replica(entry));
+    for (std::size_t i = 0; i < queries.size(); ++i)
+      EXPECT_TRUE(served[i] == answer(i)) << phase << ": query " << i;
+  };
+
+  Rng host_rng(0x72);
+  compare_served_to_routed(install_root_entry(sys, host_rng, 3), "installed");
+
+  // Publish invalidates, refresh re-validates: the refreshed entry serves
+  // the new elements.
+  std::uint64_t entry = install_root_entry(sys, host_rng, 3);
+  std::vector<DataElement> fresh;
+  for (int i = 0; i < 20; ++i)
+    fresh.push_back(DataElement{"fresh" + std::to_string(i),
+                                {word(), static_cast<double>(i)}});
+  sys.publish_batch(fresh);
+  EXPECT_FALSE(sys.replica_valid(entry));
+  ASSERT_TRUE(sys.refresh_replica(entry));
+  compare_served_to_routed(entry, "after publish + refresh");
+
+  // Unpublish invalidates too; the refreshed entry never resurrects them.
+  entry = install_root_entry(sys, host_rng, 3);
+  for (const DataElement& e : fresh) ASSERT_TRUE(sys.unpublish(e));
+  EXPECT_FALSE(sys.replica_valid(entry));
+  ASSERT_TRUE(sys.refresh_replica(entry));
+  compare_served_to_routed(entry, "after unpublish + refresh");
 }
 
 /// Twin worlds built identically; one carries the full reaction stack
@@ -437,8 +628,8 @@ TEST(ReactionStateMachine, SplitsReplicatesDrainsAndDrops) {
   EXPECT_EQ(controller.totals().splits, 1u);
   EXPECT_EQ(world.sys->ring().size(), ring_before + 1);
 
-  // Epoch 2: still hot past replicate_after -> the cluster is snapshotted
-  // onto cold peers and served from them.
+  // Epoch 2: still hot past replicate_after -> the cluster is installed
+  // on cold peers and served by them.
   controller.on_epoch(make_sample(2, nodes, target, scan_load(300),
                                   scan_load(10)));
   EXPECT_EQ(controller.phase_of(target),

@@ -97,10 +97,9 @@ TEST(VirtualNodes, QueriesRemainCompleteThroughBalancing) {
 }
 
 TEST(VirtualNodes, SplitChoiceIsDeterministicAcrossShardCounts) {
-  // The reaction controller splits hot nodes mid-run in every delivery
-  // mode, so the split's outcome — median key, sampled host, resulting
-  // topology — must not depend on how many shards executed the queries
-  // that heated the node.
+  // A split may run mid-workload in any delivery mode, so its outcome —
+  // median key, sampled host, resulting topology — must not depend on how
+  // many shards executed the queries that heated the node.
   struct Outcome {
     bool split = false;
     SquidSystem::NodeId added = 0;

@@ -264,17 +264,12 @@ TEST(TieredStore, ScansMergeTiersInKeyOrder) {
   EXPECT_EQ(store.tombstones(), 1u);
 
   std::vector<u128> seen;
-  store.scan(5, 15, [&](u128 key, const int&) { seen.push_back(key); });
+  store.scan(5, 15, [&](u128 key, const int& payload) {
+    seen.push_back(key);
+    // Payload provenance: evens came from base (payload 1), odds from delta.
+    EXPECT_EQ(payload, (key % 2 == 0) ? 1 : 2);
+  });
   EXPECT_EQ(seen, (std::vector<u128>{5, 6, 7, 8, 9, 11, 12, 13, 14, 15}));
-
-  std::vector<u128> keys;
-  std::vector<int> payloads;
-  store.snapshot_range(5, 15, keys, payloads);
-  EXPECT_EQ(keys, seen);
-  ASSERT_EQ(payloads.size(), 10u);
-  // Payload provenance: evens came from base (payload 1), odds from delta.
-  for (std::size_t i = 0; i < keys.size(); ++i)
-    EXPECT_EQ(payloads[i], (keys[i] % 2 == 0) ? 1 : 2);
 }
 
 TEST(TieredStore, MergeThresholdRuleIsExact) {
