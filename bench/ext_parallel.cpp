@@ -6,9 +6,9 @@
 //   2. Thread scaling of independent client queries: SquidSystem::query is
 //      a pure reader (owner cache off), so N threads run N private lockstep
 //      engines. The classic embarrassingly-parallel ceiling.
-//   3. Shard scaling of ONE batch through the sharded runtime
-//      (query_parallel): S worker threads, per-shard engines, cross-shard
-//      scan handoff — the tentpole curve. Same answers at every S (the
+//   3. Worker scaling of ONE batch through query_parallel: S worker
+//      threads claim whole queries from a shared counter and run each in
+//      lockstep on a private engine. Same answers at every S (the
 //      differential suite locks that); this measures the wall-clock.
 //   4. Concurrent in-flight queries on one engine clock (query_async):
 //      single-threaded message runtime; the virtual completion-time
@@ -112,7 +112,7 @@ int main(int argc, char** argv) {
   emit("Parallel query throughput (read-only engine, owner cache off)",
        table, flags);
 
-  // --- Sharded runtime: one batch across S shard workers -------------------
+  // --- Worker pool: one batch across S worker threads ----------------------
   constexpr std::size_t kBatch = 96;
   std::vector<core::ParallelQuerySpec> specs;
   {
@@ -142,7 +142,7 @@ int main(int argc, char** argv) {
     shard_table.add_row({Table::cell(std::uint64_t{shards}), Table::cell(rate),
                          Table::cell(rate / shard_base)});
   }
-  emit("Sharded runtime scaling (query_parallel, one batch)", shard_table,
+  emit("Worker pool scaling (query_parallel, one batch)", shard_table,
        flags);
 
   // --- Concurrent in-flight queries on one engine clock --------------------

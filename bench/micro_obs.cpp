@@ -15,7 +15,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "squid/core/parallel.hpp"
 #include "squid/core/system.hpp"
 #include "squid/obs/metrics.hpp"
 #include "squid/obs/telemetry.hpp"
@@ -117,29 +116,6 @@ void BM_HistogramObserve(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
-/// One parallel batch end to end: every squid.runtime.shard.* counter site
-/// fires on the hot path (delivery tallies, handoff staging, batch
-/// histogram, idle polls). Compare against a -DSQUID_OBS=OFF build of the
-/// same binary: the shard counters must be zero-cost when compiled out.
-void BM_QueryParallelShardCounters(benchmark::State& state) {
-  World world = make_world(1000, 20000);
-  world.sys->set_tracing(false);
-  std::vector<core::ParallelQuerySpec> specs;
-  for (int i = 0; i < 16; ++i) {
-    core::ParallelQuerySpec spec;
-    spec.query = world.corpus->q1(static_cast<std::size_t>(i % 8), true);
-    spec.origin = world.sys->ring().random_node(world.rng);
-    specs.push_back(std::move(spec));
-  }
-  core::ParallelOptions opts;
-  opts.shards = static_cast<unsigned>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(world.sys->query_parallel(specs, opts));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(specs.size()));
-}
-
 void BM_DeriveStats(benchmark::State& state) {
   World world = make_world(1000, 20000);
   world.sys->set_tracing(true);
@@ -164,6 +140,4 @@ BENCHMARK(BM_QuerySamplerOff)->Arg(1000)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_QuerySamplerOn)->Arg(1000)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CounterAdd);
 BENCHMARK(BM_HistogramObserve);
-BENCHMARK(BM_QueryParallelShardCounters)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DeriveStats)->Unit(benchmark::kMicrosecond);

@@ -13,7 +13,7 @@
 //             routing gets no action, because its heat is a symptom of some
 //             owner's crowd and disappears once that owner's cluster is
 //             served;
-//   still hot after `replicate_after` epochs
+//   still hot one epoch after the onset
 //          -> REPLICATE the hot node's cluster: install it in the system's
 //             replica cache (SquidSystem::install_replica) on sampled cold
 //             peers; reads of the cluster are then served one hop away by
@@ -22,12 +22,14 @@
 //   clear  -> DRAIN: keep the entry serving (serving is precisely what
 //             cooled the owner — dropping on clear would re-ignite it next
 //             epoch and flap), and DROP it only once its per-epoch absorbed
-//             demand falls to drain_fraction of its busiest epoch for
-//             drain_epochs consecutive windows (the crowd is actually
-//             gone). An onset during the drain re-arms serving directly.
+//             demand falls to a fraction of its busiest epoch for two
+//             consecutive windows (the crowd is actually gone). An onset
+//             during the drain re-arms serving directly. A replica host
+//             that leaves or fails the ring is replaced by another cold
+//             peer at the next epoch close.
 //
-// The controller runs at epoch close — a safe point in all three delivery
-// modes (kLockstep / kVirtualTime / kParallel) — and is deterministic: the
+// The controller runs at epoch close — a safe point for query(),
+// query_async and query_parallel alike — and is deterministic: the
 // epoch series is mode-independent (commutative sums), detector transitions
 // fire in node-id order, and the only randomness is the controller's own
 // seeded RNG, so the same seed and workload yield the same splits and
@@ -46,57 +48,14 @@
 
 namespace squid::core {
 
+/// The controller's tuning (epochs before escalation, replica-set sizes,
+/// split budget and surge gate, drain thresholds) is fixed: the named
+/// constants at the top of src/core/reaction.cpp, tabled in
+/// docs/LOAD_BALANCING.md.
 struct ReactionConfig {
-  /// Master switch: off = detection only (the PR 8 behavior), bit-identical
-  /// to running without a controller.
+  /// Master switch: off = detection only, bit-identical to running without
+  /// a controller.
   bool enabled = true;
-  /// Epochs a node must stay continuously hot after its onset before the
-  /// controller escalates from splitting to replication.
-  unsigned replicate_after = 1;
-  /// Initial replica peers serving a hot cluster (sampled cold peers — see
-  /// cold_replicas for why NOT the ring successors). Clients spread across
-  /// the whole set (the dispatch pick hashes the query origin), so a wider
-  /// set flattens the served load further at the cost of more peers
-  /// carrying borrowed load.
-  unsigned replica_factor = 8;
-  /// Adaptive widening cap: while any host of a served entry runs hot
-  /// itself (borrowed load — the detector watches hosts like any node),
-  /// the maintenance pass adds replica_factor more cold hosts per epoch,
-  /// up to this many, splitting the served demand further.
-  unsigned replica_max = 32;
-  /// Candidate peers sampled per replica slot (cold_replicas).
-  unsigned cold_probes = 4;
-  /// Total split budget: caps the split cascade a broad crowd can trigger.
-  /// Deliberately small — a split only pays off when ONE owner holds the
-  /// whole hot region (each new node lengthens every route a little, and a
-  /// split half that inherits the crowd fires its own onset next epoch);
-  /// a crowd heating many owners at once is replication's job.
-  unsigned split_budget = 4;
-  /// A split adds CAPACITY (one more node), so onsets only split while the
-  /// ring-wide epoch load runs at least this factor over its pre-surge
-  /// baseline (EWMA, frozen while any node is hot — mirroring the
-  /// detector's own freeze). A flash crowd multiplies aggregate volume and
-  /// passes; a constant-volume shift (a diurnal focus relocation) merely
-  /// moves demand between owners, where a split would lengthen every route
-  /// for nothing — replication redistributes it instead.
-  double split_surge_factor = 2.0;
-  /// Re-validate an invalidated entry at epoch close while its node is
-  /// still hot (off: the entry stays cold until the crowd clears).
-  bool refresh_invalidated = true;
-  /// Draining: consecutive epochs the entry's absorbed demand must stay
-  /// under the drop threshold before the entry is actually dropped.
-  /// Hysteresis against one quiet window mid-crowd.
-  unsigned drain_epochs = 2;
-  /// Draining: the entry is droppable once its per-epoch absorbed demand
-  /// falls to this fraction of the peak epoch it ever served. Entry-local
-  /// on purpose: the detector's thresholds are in TOTAL-load units
-  /// (routing included) while absorbed demand is scan-only, and a broad
-  /// crowd spread over many owners passes a total-load clear test while
-  /// the crowd is still in full swing.
-  double drain_fraction = 0.25;
-  /// Draining: absolute "demand gone" floor, in owner scan-hit units
-  /// (covers entries whose peak was itself tiny).
-  double drain_floor = 16.0;
 };
 
 /// What one on_epoch() call (or the whole run, via totals()) did.
@@ -116,8 +75,9 @@ public:
 
   /// Per-node reaction state machine (docs/LOAD_BALANCING.md §2):
   /// kCold -> (onset) kSplit -> (still hot) kReplicated -> (clear)
-  /// kDraining -> (absorbed demand subsides for drain_epochs windows)
-  /// kCold; an onset while kDraining re-arms kReplicated.
+  /// kDraining -> (absorbed demand subsides for two windows) kCold; an
+  /// onset while kDraining re-arms kReplicated. An entry left with no live
+  /// host drops back to kSplit (or kCold once the node has cooled).
   enum class Phase : std::uint8_t { kCold, kSplit, kReplicated, kDraining };
 
   /// `detector_config.min_load` should already be calibrated
@@ -159,10 +119,11 @@ private:
   /// the cluster id replica-cache entries are keyed by.
   sfc::ClusterNode covering_cluster(NodeId node) const;
   /// Up to `count` distinct COLD peers to serve `node`'s cluster,
-  /// chosen by power-of-d-choices sampling (cold_probes candidates per
-  /// slot, lowest detector baseline wins, hot nodes excluded). Not the ring
-  /// successors: a crowd heats a contiguous ring segment, so successors of
-  /// a hot owner are usually hot themselves. Draws from the controller RNG.
+  /// chosen by power-of-d-choices sampling (a few candidates per slot,
+  /// fewest hosted entries then lowest detector baseline wins, hot nodes
+  /// excluded). Not the ring successors: a crowd heats a contiguous ring
+  /// segment, so successors of a hot owner are usually hot themselves.
+  /// Draws from the controller RNG.
   std::vector<NodeId> cold_replicas(NodeId node, unsigned count);
   void react_onset(const obs::HotspotEvent& event, const obs::LoadVector& load,
                    ReactionReport& report);
@@ -171,6 +132,14 @@ private:
   /// Widen the entry's replica set while its hosts run hot (borrowed load
   /// — the remedy is more hosts, not reacting to the host's own cluster).
   void maybe_widen(NodeId node, NodeState& state, ReactionReport& report);
+  /// Replace hosts that left or failed the ring with cold peers and
+  /// re-install the entry. With no live host left, drop the entry and
+  /// return false: the node goes back to kSplit while still hot, so its
+  /// next hot epoch re-escalates, or to kCold once it has cooled.
+  bool replace_departed(NodeId node, NodeState& state);
+  /// Re-key the entry onto state.hosts (drop + install; the serve counter
+  /// starts over, peak_absorbed survives).
+  void reinstall(NodeState& state);
 
   SquidSystem& sys_;
   ReactionConfig config_;

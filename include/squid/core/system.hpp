@@ -171,7 +171,7 @@ public:
   /// reply path changes, which is where the message/byte savings come from
   /// (QueryStats::bytes_shipped/reply_messages account both paths through
   /// the real serializer). The answer rides QueryResult::aggregate and is
-  /// bit-identical across delivery modes, shard counts, and merge orders —
+  /// bit-identical across delivery modes, worker counts, and merge orders —
   /// and bit-equal to folding `spec` at the origin over query()'s elements.
   /// Throws std::invalid_argument for invalid specs (see validate_aggregate).
   QueryResult query_aggregate(const keyword::Query& query,
@@ -214,16 +214,14 @@ public:
   QueryHandle query_async(const keyword::Query& query, NodeId origin,
                           sim::Engine& engine) const;
 
-  /// Resolve a batch of queries on a sharded multi-core runtime
-  /// (core/parallel.hpp, DESIGN.md 4f): node space partitioned across
-  /// `opts.shards` worker threads, each with a private engine; planning
-  /// replays the lockstep order on each query's home shard while store
-  /// scans hand off to the shard owning the scanned node. Every per-query
-  /// result — element order, QueryStats, trace span multiset, completion
-  /// flag — is bit-equal to query() on this system, regardless of thread
-  /// interleaving (tests/core/parallel_differential_test.cpp). With
-  /// opts.faults set, query k runs under an injector forked from the plan
-  /// by submit index; the per-query tallies come back in ParallelRun so
+  /// Resolve a batch of queries on `opts.shards` worker threads
+  /// (core/parallel.hpp, DESIGN.md 4f). Each query runs query()'s lockstep
+  /// path on a private engine, so every per-query result — element order,
+  /// QueryStats, trace, completion flag — is bit-equal to query() on this
+  /// system (tests/core/parallel_differential_test.cpp). With
+  /// cache_cluster_owners on the batch runs on one worker in submit order.
+  /// With opts.faults set, query k runs under an injector forked from the
+  /// plan by submit index; the per-query tallies come back in ParallelRun so
   /// harnesses can replay the same forks sequentially and compare.
   ParallelRun query_parallel(const std::vector<ParallelQuerySpec>& specs,
                              const ParallelOptions& opts) const;
@@ -367,9 +365,6 @@ private:
 
   /// Delivers query messages into the private handlers below.
   friend class NodeRuntime;
-  /// Runs kParallel queries through start_exec/begin_resolution/
-  /// sweep_scan/finalize_query (core/parallel.cpp).
-  friend class ParallelExecutor;
 
   u128 index_of_element(const DataElement& element) const;
 
@@ -404,10 +399,12 @@ private:
   /// Post the root work: the point-query fast path (paper 3.4.1) or the
   /// origin's ResolveRequest for the refinement-tree root.
   void begin_resolution(const std::shared_ptr<QueryExec>& exec) const;
-  /// query()/query_aggregate(): a private engine at the fault injector's
-  /// clock, drained in lockstep until the Reply delivers.
+  /// query()/query_aggregate()/query_parallel(): a private engine at
+  /// `fault`'s clock (0 without one) judged by `fault`, drained in lockstep
+  /// until the Reply delivers.
   QueryResult run_lockstep(const keyword::Query& query, NodeId origin,
-                           const AggregateSpec* aggregate) const;
+                           const AggregateSpec* aggregate,
+                           sim::FaultInjector* fault) const;
   /// query_async()/query_aggregate_async(): launch on the caller's engine.
   QueryHandle launch_async(const keyword::Query& query, NodeId origin,
                            sim::Engine& engine,
@@ -433,8 +430,7 @@ private:
       std::int32_t event, std::int32_t span) const;
   /// ScanRequest work: sweep this peer's slice of the store into `out` and
   /// size its reply (a replica scan sweeps the same live store and credits
-  /// the entry's serve counter). Reads only exec's rect and origin, so
-  /// kParallel shards run it concurrently with home-shard planning;
+  /// the entry's serve counter). Reads only exec's rect and origin;
   /// QueryExec::absorb_scan merges the buffer afterwards. For aggregate
   /// requests (scan.agg.kind != kNone) the matches fold into out.agg
   /// instead.
@@ -488,7 +484,7 @@ private:
     /// scans matched (exactly the scan_hits the owner would otherwise have
     /// recorded) — the controller's demand signal for draining entries
     /// after a clear. Atomic behind unique_ptr: bumped on the const query
-    /// path, possibly from several shard threads.
+    /// path, possibly from several query_parallel workers.
     std::unique_ptr<std::atomic<std::uint64_t>> serves =
         std::make_unique<std::atomic<std::uint64_t>>(0);
   };
@@ -546,9 +542,9 @@ private:
   /// controller runs at epoch close, a safe point); the query path reads it.
   std::map<std::uint64_t, ReplicaEntry> replica_cache_;
   std::uint64_t next_replica_id_ = 1;
-  /// Query-path counters: bumped inside const planning, which kParallel
-  /// replays concurrently on home shards — hence atomics (heap-held for
-  /// movability, same pattern as cache_writers_).
+  /// Query-path counters: bumped inside const planning, which
+  /// query_parallel runs on several workers at once — hence atomics
+  /// (heap-held for movability, same pattern as cache_writers_).
   struct ReplicaCounters {
     std::atomic<std::uint64_t> serves{0};
     std::atomic<std::uint64_t> stale_skips{0};

@@ -54,9 +54,9 @@ struct QueryStats {
   /// replies occupy on the wire, measured through the real serializer with a
   /// canonical query id of 0 so the numbers are comparable across runs.
   /// Element queries count one reply per scan site (split into
-  /// SquidConfig::reply_frame_bytes frames); aggregate queries count one
-  /// partial-carrying reply per dispatch-tree edge. Identical across
-  /// delivery modes and shard counts; not part of the frozen-seed lock.
+  /// 1024-byte frames); aggregate queries count one partial-carrying reply
+  /// per dispatch-tree edge. Identical across delivery modes and worker
+  /// counts; not part of the frozen-seed lock.
   std::uint64_t bytes_shipped = 0;
   std::uint64_t reply_messages = 0;
 };
@@ -121,9 +121,6 @@ struct SquidConfig {
   /// Base retry backoff in virtual ticks; attempt k waits
   /// retry_backoff << k before resending (exponential).
   sim::Time retry_backoff = 2;
-  /// Reply-path MTU for wire accounting: a reply of B bytes counts as
-  /// ceil(B / reply_frame_bytes) frames in QueryStats::reply_messages.
-  std::size_t reply_frame_bytes = 1024;
   /// Hotspot-detector floor calibration (docs/LOAD_BALANCING.md): the
   /// effective HotspotConfig::min_load is raised to this factor × the p95
   /// of per-node epoch load totals over a calibration window

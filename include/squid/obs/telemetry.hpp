@@ -11,13 +11,13 @@
 // Bit-transparency contract: recording is purely passive. A query's load
 // events accumulate in a private per-query scratch (QueryTelemetry, engaged
 // by SquidSystem::set_telemetry) and flush into the sampler exactly once,
-// at finalize — the same safe point in every delivery mode, which in
-// kParallel is the home shard's deterministic merge. No recording site
-// draws RNG, changes control flow, or touches QueryStats, so sampling
+// at finalize — the same safe point in every delivery mode, including each
+// query_parallel worker's own queries. No recording site draws RNG,
+// changes control flow, or touches QueryStats, so sampling
 // on/off cannot perturb results (tests/obs/telemetry_differential_test.cpp
 // locks this over the 9-config matrix × all delivery modes × faults).
 // Epoch totals are sums of commutative counter additions, so they are
-// identical no matter which shard flushed first.
+// identical no matter which worker flushed first.
 //
 // Zero-cost when disabled: every engine-side site is gated on QueryExec's
 // telemetry pointer, which is a constexpr nullptr with SQUID_OBS_ENABLED=0
@@ -144,9 +144,9 @@ struct LoadSeries {
 /// shared-clock start. Both are deterministic: flush order cannot move
 /// totals (commutative sums) and `now` only changes under harness control.
 ///
-/// Thread safety: flush/record_now/advance_to take one mutex — kParallel
-/// home shards flush concurrently. Determinism does not depend on flush
-/// order.
+/// Thread safety: flush/record_now/advance_to take one mutex —
+/// query_parallel workers flush concurrently. Determinism does not depend
+/// on flush order.
 class EpochSampler {
 public:
   /// `registry`: source of counter deltas (default: the global registry).

@@ -86,10 +86,11 @@ struct FaultPlan {
 };
 
 /// Derive stream `k` of a base plan: the same hazards, driven by an
-/// independent generator seeded from (base.seed, k). The sharded parallel
-/// runtime (core/parallel.hpp) gives each query its own forked injector so
-/// fault verdicts stay a pure per-query function of (plan, submit index) no
-/// matter how shard threads interleave — and a sequential harness forking
+/// independent generator seeded from (base.seed, k). query_parallel and
+/// the update plane (core/parallel.hpp, core/update.hpp) give each query or
+/// op its own forked injector so fault verdicts stay a pure per-item
+/// function of (plan, submit index) no matter how worker threads
+/// interleave — and a sequential harness forking
 /// identically replays the exact same streams, which is what the parallel
 /// differential suite compares against.
 FaultPlan fork_plan(const FaultPlan& base, std::uint64_t k);

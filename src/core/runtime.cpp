@@ -11,7 +11,6 @@
 #include <iterator>
 #include <utility>
 
-#include "squid/core/parallel.hpp"
 #include "squid/core/system.hpp"
 #include "squid/sim/fault.hpp"
 
@@ -234,15 +233,6 @@ void NodeRuntime::post(const std::shared_ptr<QueryExec>& exec,
     scan->slot = static_cast<std::uint32_t>(ex.agg_scans.size());
     ex.agg_scans.emplace_back();
   }
-  if (ex.mode == DeliveryMode::kParallel) {
-    // Scans are order-insensitive store sweeps: hand them off to the shard
-    // owning the scanned node. Everything else is planning and stays on the
-    // home-shard engine at delay 0, replaying the lockstep order below.
-    if (auto* scan = std::get_if<msg::ScanRequest>(&message)) {
-      parallel_post_scan(ex, std::move(*scan));
-      return;
-    }
-  }
   sim::Time delay = 0;
   if (ex.mode == DeliveryMode::kVirtualTime) {
     const std::int32_t event = event_of(message);
@@ -305,13 +295,6 @@ void NodeRuntime::deliver(const std::shared_ptr<QueryExec>& exec,
 
 void NodeRuntime::maybe_complete(const std::shared_ptr<QueryExec>& exec) const {
   QueryExec& ex = *exec;
-  if (ex.mode == DeliveryMode::kParallel) {
-    // outstanding counts only planning messages here (scans are handed
-    // off); zero means planning is done. The executor takes over: it joins
-    // planning with the scan countdown and finalizes on the home shard.
-    if (ex.outstanding == 0) parallel_planning_finished(exec);
-    return;
-  }
   if (ex.outstanding != 0 || ex.reply_posted) return;
   ex.reply_posted = true;
   msg::Reply reply;

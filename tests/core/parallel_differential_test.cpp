@@ -1,11 +1,11 @@
-// The sharded runtime's bit-identicality lock (DESIGN.md 4f).
+// The worker pool's bit-identicality lock (DESIGN.md 4f).
 //
-// query_parallel runs batches on S shard worker threads; query() runs the
+// query_parallel runs batches on S worker threads; query() runs the
 // lockstep message engine (itself locked to the frozen seed recursion by
 // async_differential_test.cpp). On twin systems the two must agree
 // bit-for-bit per query — the element sequence IN ORDER, every QueryStats
 // field, the timing DAG, the trace span multiset, completion — for every
-// shard count, regardless of thread interleaving. With a fault plan, each
+// worker count, regardless of thread interleaving. With a fault plan, each
 // parallel query k runs under fork_plan(plan, k); replaying the same forks
 // sequentially must consume the RNG streams draw-for-draw identically.
 //
@@ -16,8 +16,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -58,7 +60,7 @@ std::vector<unsigned> shard_counts() {
 }
 
 struct TwinWorld {
-  std::unique_ptr<SquidSystem> live; ///< runs the sharded executor
+  std::unique_ptr<SquidSystem> live; ///< runs query_parallel
   std::unique_ptr<SquidSystem> ref;  ///< runs lockstep query()
 };
 
@@ -280,48 +282,24 @@ INSTANTIATE_TEST_SUITE_P(
              (std::get<3>(info.param) ? "_cache" : "_nocache");
     });
 
-TEST(ParallelExecutorTest, HandoffBatchLimitDoesNotChangeAnswers) {
-  // The staging flush threshold only moves WHEN jobs cross the mailbox, not
-  // what they compute: every limit must produce the same batch of results.
-  TwinWorld world = make_world(Config{"hilbert", 2, true, false},
-                               /*traced=*/false);
-  const std::vector<ParallelQuerySpec> specs =
-      random_batch(*world.live, 16, 0xba7c);
-  std::vector<std::vector<std::string>> runs;
-  for (std::size_t limit : {std::size_t{1}, std::size_t{4}, std::size_t{64}}) {
-    ParallelOptions opts;
-    opts.shards = 2;
-    opts.handoff_batch = limit;
-    const ParallelRun run = world.live->query_parallel(specs, opts);
-    std::vector<std::string> flat;
-    for (const QueryResult& r : run.results) {
-      flat.push_back("|" + std::to_string(r.stats.messages));
-      for (const auto& name : names_in_order(r)) flat.push_back(name);
-    }
-    runs.push_back(std::move(flat));
+TEST(ForEachIndex, RunsEveryIndexOnceAndForwardsTheFirstFailure) {
+  for (const unsigned workers : {1u, 2u, 4u}) {
+    std::vector<std::atomic<int>> runs(50);
+    for_each_index(workers, runs.size(), [&](std::size_t k) { ++runs[k]; });
+    for (std::size_t k = 0; k < runs.size(); ++k)
+      EXPECT_EQ(runs[k].load(), 1) << "workers=" << workers << " k=" << k;
   }
-  EXPECT_EQ(runs[0], runs[1]);
-  EXPECT_EQ(runs[0], runs[2]);
-}
-
-TEST(ParallelExecutorTest, ShardCountersAccountTheRun) {
-  // squid.runtime.shard.* totals move when a parallel batch runs. With the
-  // obs layer compiled out the registry is inert and there is nothing to
-  // observe.
-  if (!obs::kEnabled) GTEST_SKIP() << "obs layer compiled out";
-  auto& r = obs::Registry::global();
-  TwinWorld world = make_world(Config{"hilbert", 2, true, false},
-                               /*traced=*/false);
-  const std::vector<ParallelQuerySpec> specs =
-      random_batch(*world.live, 12, 0x0b5);
-  const std::uint64_t delivered0 =
-      r.counter("squid.runtime.shard.messages_delivered").value();
-  ParallelOptions opts;
-  opts.shards = 4;
-  const ParallelRun run = world.live->query_parallel(specs, opts);
-  ASSERT_EQ(run.results.size(), specs.size());
-  EXPECT_GT(r.counter("squid.runtime.shard.messages_delivered").value(),
-            delivered0);
+  std::vector<std::size_t> order;
+  for_each_index(1, 5, [&](std::size_t k) { order.push_back(k); });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+  // A throwing item: every worker is joined and the caller sees the error.
+  for (const unsigned workers : {1u, 4u}) {
+    const auto fail_at_7 = [](std::size_t k) {
+      if (k == 7) throw std::runtime_error("item 7");
+    };
+    EXPECT_THROW(for_each_index(workers, 40, fail_at_7), std::runtime_error)
+        << "workers=" << workers;
+  }
 }
 
 } // namespace
