@@ -5,8 +5,9 @@
 //      container are honest noise, not speedup).
 //   2. Update throughput: one motion tick = objects × (retract + publish)
 //      through the routed update plane (core/update.hpp), timed per
-//      delivery mode — kLockstep, kVirtualTime, kParallel at S ∈ {2, 4} —
-//      with the overlay cost columns (hops/op, frames/op, bytes/op).
+//      worker count — sequential (the caller's thread), then pools of
+//      S ∈ {2, 4} planning threads — with the overlay cost columns
+//      (hops/op, frames/op, bytes/op).
 //   3. Recall under motion: after every tick, random bbox queries from
 //      random origins are checked against the workload's exact ground
 //      truth. Commits are synchronous, so recall must be 1.0 — this panel
@@ -40,15 +41,6 @@ using namespace squid;
 using namespace squid::bench;
 
 constexpr int kRuns = 3; // timed passes per row; median reported
-
-const char* mode_name(core::DeliveryMode mode) {
-  switch (mode) {
-  case core::DeliveryMode::kLockstep: return "lockstep";
-  case core::DeliveryMode::kVirtualTime: return "virtual";
-  case core::DeliveryMode::kParallel: return "parallel";
-  }
-  return "?";
-}
 
 struct GeoFixture {
   workload::GeoConfig world;
@@ -88,14 +80,12 @@ struct ThroughputRow {
   double bytes_per_op = 0;
 };
 
-ThroughputRow measure_mode(const Flags& flags, std::size_t nodes,
-                           std::size_t objects, core::DeliveryMode mode,
-                           unsigned shards) {
-  // Fresh fixture per row: every mode pays the same store history.
+ThroughputRow measure_workers(const Flags& flags, std::size_t nodes,
+                              std::size_t objects, unsigned shards) {
+  // Fresh fixture per row: every worker count pays the same store history.
   GeoFixture fx = build_geo(flags, nodes, objects);
   Rng rng(flags.seed + 17);
   core::UpdateOptions opts;
-  opts.mode = mode;
   opts.shards = shards;
   (void)tick(fx, rng, opts); // warmup
   std::vector<double> rates;
@@ -115,9 +105,8 @@ ThroughputRow measure_mode(const Flags& flags, std::size_t nodes,
   }
   std::sort(rates.begin(), rates.end());
   ThroughputRow row;
-  row.mode = mode_name(mode);
-  if (mode == core::DeliveryMode::kParallel)
-    row.mode += "-S" + std::to_string(shards);
+  row.mode =
+      shards == 1 ? "sequential" : "parallel-S" + std::to_string(shards);
   row.ops_per_sec = rates[rates.size() / 2];
   row.hops_per_op = hops / ops;
   row.frames_per_op = frames / ops;
@@ -181,15 +170,10 @@ int main(int argc, char** argv) {
                 Table::cell(std::uint64_t{objects})});
   emit("Host and measurement protocol", host, flags);
 
-  // --- Update throughput per delivery mode ---------------------------------
+  // --- Update throughput per worker count ----------------------------------
   std::vector<ThroughputRow> rows;
-  rows.push_back(measure_mode(flags, nodes, objects,
-                              core::DeliveryMode::kLockstep, 1));
-  rows.push_back(measure_mode(flags, nodes, objects,
-                              core::DeliveryMode::kVirtualTime, 1));
-  for (unsigned s : {2u, 4u})
-    rows.push_back(
-        measure_mode(flags, nodes, objects, core::DeliveryMode::kParallel, s));
+  for (unsigned s : {1u, 2u, 4u})
+    rows.push_back(measure_workers(flags, nodes, objects, s));
   Table thr({"mode", "updates/s", "hops/op", "frames/op", "bytes/op"});
   for (const ThroughputRow& r : rows)
     thr.add_row({r.mode, Table::cell(r.ops_per_sec),
@@ -205,7 +189,7 @@ int main(int argc, char** argv) {
   {
     GeoFixture fx = build_geo(flags, nodes, objects);
     Rng rng(flags.seed + 31);
-    core::UpdateOptions opts; // lockstep
+    core::UpdateOptions opts; // sequential
     for (std::size_t t = 0; t < kMotionTicks; ++t) {
       (void)tick(fx, rng, opts);
       for (std::size_t q = 0; q < probe_queries; ++q) {

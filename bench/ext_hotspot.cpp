@@ -11,7 +11,8 @@
 //   (median-key splits, hot-cluster replication on cold peers with
 //   invalidation on republish; docs/LOAD_BALANCING.md), reported as
 //   before/after-onset Gini and critical-path latency percentiles, for all
-//   three delivery modes (kLockstep / kVirtualTime / kParallel).
+//   three query paths (query() in kLockstep, query_async in kVirtualTime,
+//   query_parallel on a worker pool).
 //
 // Flags (before the common bench flags):
 //   --react / --no-react   run the reaction comparison (default on; off

@@ -126,7 +126,7 @@ struct Reply {
 
 /// Routed single-element index update (DESIGN.md 4j): publish `element` at
 /// the owner of its key. `seq` is the submit index within one
-/// apply_updates run — the commit order every delivery mode replays, and
+/// apply_updates run — the commit order every worker count replays, and
 /// the per-op fault-plan fork index under faults.
 struct PublishRequest {
   std::uint64_t seq = 0;

@@ -4,8 +4,8 @@
 // and merges them up the cluster-dispatch tree. The contract under test:
 // the finished aggregate must be BIT-EQUAL to the origin folding the
 // ship-all element answer itself — for every aggregate kind, in every
-// delivery mode (kLockstep / kVirtualTime / kParallel at every shard
-// count), faults off AND on. Because every merge operator is associative
+// delivery mode (kLockstep / kVirtualTime / query_parallel at every
+// worker count), faults off AND on. Because every merge operator is associative
 // and commutative (ExactSum superaccumulator for kSum, bounded sorted
 // lists for top-k and group-by), no mode, shard interleaving, or arrival
 // order may change a single bit — including the kSum double.
