@@ -11,7 +11,7 @@
 // min/max via idempotent comparison, group-by via key-sorted count maps,
 // top-k via bounded sorted lists with a (value, name) total order — so the
 // final answer is bit-identical regardless of tree shape, delivery mode,
-// shard count, or merge order. That is what lets the differential suite
+// worker count, or merge order. That is what lets the differential suite
 // compare pushdown against an origin-side fold over ship-all elements.
 
 #pragma once

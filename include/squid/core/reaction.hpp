@@ -1,11 +1,10 @@
 // Detector-driven hotspot reaction (docs/LOAD_BALANCING.md): the loop that
 // closes ROADMAP's "metrics-driven adaptive hotspot management".
 //
-// PR 8 shipped the observation half — the EpochSampler sees per-node load on
-// the virtual clock and the HotspotDetector raises `hotspot.onset` /
-// `hotspot.clear` transitions. This controller subscribes to those events
-// (HotspotDetector::set_sink, the event bus out of the detector) and reacts
-// online, per closed epoch:
+// The observation half: the EpochSampler sees per-node load on the virtual
+// clock and the HotspotDetector raises `hotspot.onset` / `hotspot.clear`
+// transitions. This controller feeds the detector each closed epoch and
+// reacts online to the transitions observe() returns:
 //
 //   onset  -> SPLIT the hot node at its median key (a new ring node at
 //             SquidSystem::median_split_id). Only owner-side hotspots
@@ -92,9 +91,6 @@ public:
   /// mutates). With config().enabled false this is detection only.
   ReactionReport on_epoch(const obs::EpochSample& sample);
 
-  /// Replay a whole series through on_epoch, in order.
-  ReactionReport on_series(const obs::LoadSeries& series);
-
   const ReactionConfig& config() const noexcept { return config_; }
   const obs::HotspotDetector& detector() const noexcept { return detector_; }
   const ReactionReport& totals() const noexcept { return totals_; }
@@ -155,7 +151,6 @@ private:
   /// peers win every sample and the crowd re-concentrates on them — and
   /// the react_onset guard against reacting to borrowed load.
   std::map<NodeId, unsigned> hosted_;
-  std::vector<obs::HotspotEvent> pending_; ///< sink buffer, drained per epoch
   std::size_t splits_done_ = 0;
   ReactionReport totals_;
 };

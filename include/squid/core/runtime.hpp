@@ -2,11 +2,12 @@
 //
 // The seed query engine resolved a query as one synchronous C++ recursion;
 // this layer lifts that recursion onto the sim::Engine as explicit typed
-// messages (core/messages.hpp). Per query, a QueryExec holds the state the
-// old call stack threaded implicitly — accounting sets, the timing DAG, the
-// trace recorder, the fault/retry machinery, and a completion counter — and
-// NodeRuntime is the peers' inbox handler: delivering a message runs its
-// work at the destination node and posts the follow-up messages.
+// messages (core/messages.hpp). Per query, one QueryExec is the protocol
+// object: it holds the state the old call stack threaded implicitly —
+// accounting sets, the timing DAG, the trace recorder, the fault/retry
+// machinery, and a completion counter — and posts the query's messages.
+// Delivering one runs its work at the destination node (SquidSystem's
+// handlers, which post the follow-up messages).
 //
 // Two delivery modes share all of that code:
 //
@@ -91,7 +92,7 @@ struct ScanBuffer {
   std::uint64_t reply_frames = 0;
 };
 
-/// How NodeRuntime schedules message arrivals (see file comment).
+/// How QueryExec::post schedules message arrivals (see file comment).
 enum class DeliveryMode : std::uint8_t {
   kLockstep,    ///< all at delay 0; FIFO replays the seed recursion order
   kVirtualTime ///< at the message's timing-DAG tick; overlapping queries
@@ -109,7 +110,7 @@ public:
     if (writers_.fetch_add(1, std::memory_order_acq_rel) != 0) {
       writers_.fetch_sub(1, std::memory_order_acq_rel);
       SQUID_REQUIRE(false,
-                    "concurrent query()/count() with cache_cluster_owners "
+                    "concurrent queries with cache_cluster_owners "
                     "enabled would race on the owner cache; disable the "
                     "cache for multi-threaded readers");
     }
@@ -126,15 +127,14 @@ private:
 /// call stack, held explicitly so resolution can be suspended between
 /// message deliveries. Owned by a shared_ptr that the engine's scheduled
 /// closures and the caller's QueryHandle both hold.
-struct QueryExec {
+struct QueryExec : std::enable_shared_from_this<QueryExec> {
   using NodeId = overlay::NodeId;
 
   // --- Identity / wiring ---------------------------------------------------
   std::uint64_t id = 0; ///< process-wide query id (messages carry it)
   DeliveryMode mode = DeliveryMode::kLockstep;
   sim::Engine* engine = nullptr;
-  const SquidSystem* sys = nullptr;
-  const SquidConfig* config = nullptr;
+  const SquidSystem* sys = nullptr; ///< runs the delivered messages' work
   NodeId origin = 0;
 
   // --- Resolution state (the old QueryContext) -----------------------------
@@ -220,12 +220,10 @@ struct QueryExec {
   static Leg judge_leg(sim::Engine& engine, const SquidConfig& config,
                        NodeId from, NodeId to);
 
-  /// judge_leg on this query's engine. Verdicts are drawn here, at planning
-  /// time, so the injector's RNG stream is consumed in exactly the seed
-  /// recursion's order.
-  Leg attempt_leg(NodeId from, NodeId to) {
-    return judge_leg(*engine, *config, from, to);
-  }
+  /// judge_leg on this query's engine under sys->config(). Verdicts are
+  /// drawn here, at planning time, so the injector's RNG stream is consumed
+  /// in exactly the seed recursion's order.
+  Leg attempt_leg(NodeId from, NodeId to);
 
   /// Account a *delivered* leg's fault costs. Resends and duplicate copies
   /// are extra query messages; the retry span carries them so derive_stats
@@ -297,6 +295,19 @@ struct QueryExec {
     return depth[static_cast<std::size_t>(event)];
   }
 
+  // --- Delivery ------------------------------------------------------------
+  /// Schedule `message` for delivery on this query's engine. kLockstep:
+  /// delay 0. kVirtualTime: at started_at + tick(event of the message).
+  /// Increments outstanding; delivery runs the message's work at its
+  /// destination (SquidSystem::deliver), decrements it and calls
+  /// maybe_complete. The scheduled closure holds this exec alive.
+  void post(msg::Message message);
+
+  /// Post the finalizing Reply once nothing is outstanding. Called after
+  /// every delivery and once after launch (a query whose start posts no
+  /// message — e.g. an unroutable point query — completes immediately).
+  void maybe_complete();
+
   // --- Completion ----------------------------------------------------------
   std::size_t outstanding = 0; ///< scheduled-but-undelivered messages
   bool reply_posted = false;
@@ -309,34 +320,6 @@ struct QueryExec {
   /// Armed while cache_cluster_owners is on; released at finalize so an
   /// async query holds it for its whole in-flight window.
   std::optional<ScopedCacheWriter> cache_guard;
-};
-
-/// The peers' shared inbox code: delivering a message runs its work at the
-/// destination node (against that node's slice of system state) and posts
-/// follow-ups. One instance serves every node — which peer acts is carried
-/// by the message — so this is a runtime, not per-peer mutable state.
-class NodeRuntime {
-public:
-  explicit NodeRuntime(const SquidSystem* sys) noexcept : sys_(sys) {}
-
-  /// Schedule `message` for delivery on exec's engine. kLockstep: delay 0.
-  /// kVirtualTime: at started_at + tick(event of the message). Increments
-  /// exec->outstanding; delivery decrements it and, at zero, posts the
-  /// query's Reply (whose own delivery finalizes).
-  void post(const std::shared_ptr<QueryExec>& exec, msg::Message message) const;
-
-  /// Run one delivered message's work at its destination. Takes the shared
-  /// exec because resolve/dispatch work posts follow-up messages.
-  void deliver(const std::shared_ptr<QueryExec>& exec,
-               const msg::Message& message) const;
-
-  /// Post the finalizing Reply once nothing is outstanding. Called after
-  /// every delivery and once after launch (a query whose start posts no
-  /// message — e.g. an unroutable point query — completes immediately).
-  void maybe_complete(const std::shared_ptr<QueryExec>& exec) const;
-
-private:
-  const SquidSystem* sys_;
 };
 
 /// Future-like handle to an in-flight query_async. Completion is driven by

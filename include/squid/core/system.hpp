@@ -137,11 +137,10 @@ public:
     });
   }
 
-  /// Tiered-store introspection (DESIGN.md 4j): pending delta entries,
-  /// tombstoned base slots, and the merge counters — benches and the store
-  /// differential suite read these; queries never do.
+  /// Tiered-store introspection (DESIGN.md 4j): pending delta entries and
+  /// the merge counters — benches and the store differential suite read
+  /// these; queries never do.
   std::size_t store_delta_size() const noexcept { return store_.delta_size(); }
-  std::size_t store_tombstones() const noexcept { return store_.tombstones(); }
   const util::TieredStoreStats& store_stats() const noexcept {
     return store_.stats();
   }
@@ -156,11 +155,6 @@ public:
 
   /// Convenience: parse-and-query from a random origin.
   QueryResult query(const std::string& text, Rng& rng) const;
-
-  /// Cardinality probe: how many elements match, without shipping any of
-  /// them back. Same as query_count() (the kCount pushdown); same
-  /// completeness guarantee and planning as query().
-  std::size_t count(const keyword::Query& query, NodeId origin) const;
 
   // --- Aggregation pushdown (core/aggregate.hpp, DESIGN.md 4g) --------------
 
@@ -187,20 +181,6 @@ public:
   /// dim < space().dims(), numeric dimension for the value-based kinds
   /// (kSum/kMin/kMax/kTopK), k >= 1 for kTopK. Throws std::invalid_argument.
   void validate_aggregate(const AggregateSpec& spec) const;
-
-  /// Convenience wrappers over query_aggregate.
-  std::uint64_t query_count(const keyword::Query& query, NodeId origin) const;
-  double query_sum(const keyword::Query& query, std::uint32_t dim,
-                   NodeId origin) const;
-  /// (min, max) over the dimension; nullopt when nothing matched.
-  std::pair<std::optional<double>, std::optional<double>> query_min_max(
-      const keyword::Query& query, std::uint32_t dim, NodeId origin) const;
-  std::vector<GroupCount> query_group_by(const keyword::Query& query,
-                                         std::uint32_t dim,
-                                         NodeId origin) const;
-  std::vector<TopEntry> query_top_k(const keyword::Query& query,
-                                    std::uint32_t dim, std::uint32_t k,
-                                    NodeId origin, bool largest = true) const;
 
   /// Launch a query on the caller's engine without draining it: resolution
   /// proceeds as typed messages (core/messages.hpp) scheduled at their
@@ -230,8 +210,9 @@ public:
   // The seed synchronous resolver, frozen verbatim in
   // query_engine_reference.cpp. query()/query_centralized() above run the
   // message-driven runtime and are locked bit-identical to these (results,
-  // QueryStats, traces, timing DAG, fault RNG stream); count() answers
-  // equal count_reference(). Test-only: no registry metrics are published.
+  // QueryStats, traces, timing DAG, fault RNG stream); a kCount
+  // query_aggregate answers count_reference(). Test-only: no registry
+  // metrics are published.
   QueryResult query_reference(const keyword::Query& query,
                               NodeId origin) const;
   std::size_t count_reference(const keyword::Query& query,
@@ -270,15 +251,15 @@ public:
   }
 
   // --- Hot-cluster replica cache (docs/LOAD_BALANCING.md) -------------------
-  // The reaction controller's serving tier: a replicated, versioned view of
-  // one cluster's stored keys, keyed by cluster id (level, prefix).
+  // The reaction controller's serving tier: a replicated view of one
+  // cluster's stored keys, keyed by cluster id (level, prefix).
   // dispatch_clusters consults it before routing — a dispatch whose cluster
   // falls inside a *valid* entry is sent one hop to one of the entry's
   // replica peers (when that peer is still a ring member), which answers
   // with a sweep of the cluster's segment. publish / publish_batch /
   // unpublish are the only store writers, and each invalidates every entry
-  // whose segment it touches (version bump, valid=false) before returning:
-  // a valid entry's keys are therefore exactly the live store's keys in its
+  // whose segment it touches (valid=false) before returning: a valid
+  // entry's keys are therefore exactly the live store's keys in its
   // segment, so replica scans read the live store and no entry holds a
   // copy. An invalid entry stops serving (dispatches fall back to routing)
   // until refresh_replica() re-validates it. With no entries installed the
@@ -299,17 +280,14 @@ public:
   /// peers; the set must be non-empty.
   std::uint64_t install_replica(unsigned level, u128 prefix,
                                 std::vector<NodeId> replicas);
-  /// Mark an (invalidated) entry valid again, bumping its version: its
-  /// replicas serve the store's current keys. Returns false for unknown ids.
+  /// Mark an (invalidated) entry valid again: its replicas serve the
+  /// store's current keys. Returns false for unknown ids.
   bool refresh_replica(std::uint64_t id);
   /// Remove an entry; its cluster is served by routing again.
   bool drop_replica(std::uint64_t id);
   std::size_t replica_entries() const noexcept { return replica_cache_.size(); }
   /// False for unknown or invalidated entries.
   bool replica_valid(std::uint64_t id) const;
-  /// Monotone per-entry version: bumped on every invalidation and refresh;
-  /// 0 for unknown ids.
-  std::uint64_t replica_version(std::uint64_t id) const;
   /// Load the entry has absorbed so far, in owner scan_hits units (keys its
   /// replica scans matched; 0 for unknown ids) — the reaction controller's
   /// per-entry demand signal.
@@ -318,10 +296,10 @@ public:
 
   // --- Observability (obs/trace.hpp) ---------------------------------------
 
-  /// Toggle span-level query tracing at runtime. Seeded from
-  /// SquidConfig::trace_queries. While on, every query() attaches a trace
-  /// to QueryResult::trace; a no-op (and always false) when the
-  /// observability layer is compiled out (SQUID_OBS_ENABLED=0).
+  /// Toggle span-level query tracing (off at construction). While on,
+  /// every query attaches a trace to QueryResult::trace; a no-op (and
+  /// always false) when the observability layer is compiled out
+  /// (SQUID_OBS_ENABLED=0).
   void set_tracing(bool on) noexcept;
   bool tracing() const noexcept { return trace_enabled_; }
 
@@ -363,8 +341,8 @@ private:
 
   struct RefQueryContext; // defined in query_engine_reference.cpp
 
-  /// Delivers query messages into the private handlers below.
-  friend class NodeRuntime;
+  /// Posts query messages; their delivery runs deliver() below.
+  friend struct QueryExec;
 
   u128 index_of_element(const DataElement& element) const;
 
@@ -382,6 +360,9 @@ private:
   /// The query's rectangle, validated once (per-node paths trust it).
   /// Throws std::invalid_argument for malformed queries.
   sfc::Rect query_rect(const keyword::Query& query) const;
+  /// Run one delivered message's work at its destination: the handler
+  /// below for its type (QueryExec::post schedules this).
+  void deliver(QueryExec& exec, const msg::Message& message) const;
   /// The setup every query exec shares: identity and wiring, the validated
   /// rectangle, the dispatch budget, the origin in the routing set, and the
   /// root span while tracing. query_centralized (a baseline) uses it alone.
@@ -398,7 +379,7 @@ private:
                                         const AggregateSpec* aggregate) const;
   /// Post the root work: the point-query fast path (paper 3.4.1) or the
   /// origin's ResolveRequest for the refinement-tree root.
-  void begin_resolution(const std::shared_ptr<QueryExec>& exec) const;
+  void begin_resolution(QueryExec& exec) const;
   /// query()/query_aggregate()/query_parallel(): a private engine at
   /// `fault`'s clock (0 without one) judged by `fault`, drained in lockstep
   /// until the Reply delivers.
@@ -411,21 +392,20 @@ private:
                            const AggregateSpec* aggregate) const;
   /// Refine the clusters assigned to `at` — `head` (when non-null), then
   /// `batch` — straight from the delivered message, without copying them.
-  void handle_resolve(const std::shared_ptr<QueryExec>& exec, NodeId at,
-                      const sfc::ClusterNode* head,
+  void handle_resolve(QueryExec& exec, NodeId at, const sfc::ClusterNode* head,
                       const std::vector<sfc::ClusterNode>& batch,
                       std::int32_t event, std::int32_t span) const;
   /// Plan the owner-chain walk over `segment` (routing + neighbor forwards,
   /// eagerly), posting one ScanRequest per owner visited. `pred` is
   /// ring_.predecessor_of(at), which every caller already holds.
-  void plan_chain(const std::shared_ptr<QueryExec>& exec, NodeId at,
-                  NodeId pred, sfc::Segment segment, bool covered,
-                  std::int32_t event, std::int32_t span) const;
+  void plan_chain(QueryExec& exec, NodeId at, NodeId pred,
+                  sfc::Segment segment, bool covered, std::int32_t event,
+                  std::int32_t span) const;
   /// Clusters arrive paired with their precomputed segment-lo key, sorted
   /// ascending, so batching never re-derives segments. Posts one
   /// ClusterDispatch per owner batch.
   void dispatch_clusters(
-      const std::shared_ptr<QueryExec>& exec, NodeId from,
+      QueryExec& exec, NodeId from,
       const std::vector<std::pair<u128, sfc::ClusterNode>>& clusters,
       std::int32_t event, std::int32_t span) const;
   /// ScanRequest work: sweep this peer's slice of the store into `out` and
@@ -478,7 +458,6 @@ private:
     u128 prefix = 0;
     sfc::Segment segment{};            ///< index range the cluster covers
     std::vector<NodeId> replicas;      ///< peers serving the cluster
-    std::uint64_t version = 1;         ///< bumped on invalidate and refresh
     bool valid = true;                 ///< false after a covered republish
     /// Load this entry absorbed, in the owner's units: keys its replica
     /// scans matched (exactly the scan_hits the owner would otherwise have
@@ -519,7 +498,7 @@ private:
   util::TieredStore<StoredKey> store_;
   std::size_t element_count_ = 0;
   std::size_t balance_moves_ = 0;
-  bool trace_enabled_ = false; ///< runtime half of the tracing switch
+  bool trace_enabled_ = false; ///< set_tracing; off at construction
   /// Fault injector consulted by every query message leg; null = no faults
   /// (the default, and the zero-overhead path).
   sim::FaultInjector* fault_ = nullptr;

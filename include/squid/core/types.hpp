@@ -82,20 +82,19 @@ struct QueryResult {
   std::vector<TimingEvent> timing;
   /// Span-level trace of the resolution (obs/trace.hpp). Populated only
   /// when tracing is compiled in AND enabled on the system
-  /// (SquidSystem::set_tracing / SquidConfig::trace_queries); null
-  /// otherwise. `stats` is derivable from it (obs::derive_stats).
+  /// (SquidSystem::set_tracing); null otherwise. `stats` is derivable from
+  /// it (obs::derive_stats).
   std::shared_ptr<const obs::Trace> trace;
-  /// For aggregate queries (SquidSystem::query_aggregate and friends): the
-  /// fully-merged partial — the answer computed in the overlay. Null for
-  /// element-returning queries. `elements` is always empty when set.
+  /// For aggregate queries (SquidSystem::query_aggregate and its async and
+  /// batch twins): the fully-merged partial — the answer computed in the
+  /// overlay. Null for element-returning queries. `elements` is always
+  /// empty when set.
   std::shared_ptr<const AggregatePartial> aggregate;
 };
 
 struct SquidConfig {
   /// Curve family: "hilbert" (paper), "zorder"/"gray" for ablation.
   std::string curve = "hilbert";
-  /// Chord successor-list length.
-  unsigned successor_list = 8;
   /// Chord finger base: 2 = classic fingers; larger bases trade bigger
   /// tables for shorter routes (log_base N hops).
   unsigned finger_base = 2;
@@ -110,10 +109,6 @@ struct SquidConfig {
   /// prefix, and sends later sub-queries for cached prefixes directly
   /// (verified on arrival; stale entries fall back to routing).
   bool cache_cluster_owners = false;
-  /// Record a span-level trace for every query() (obs/trace.hpp) and
-  /// attach it as QueryResult::trace. Runtime half of the zero-cost
-  /// contract; SquidSystem::set_tracing toggles it after construction.
-  bool trace_queries = false;
   /// Fault tolerance (docs/FAULT_MODEL.md): resends attempted per message
   /// leg after a presumed loss, before the leg is abandoned. Only consulted
   /// while a fault injector is attached.

@@ -26,7 +26,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <vector>
@@ -76,19 +75,10 @@ public:
 
   /// Feed one closed epoch (must be fed in epoch order). Every node ever
   /// seen is re-evaluated — a hot node absent from this window counts as
-  /// load 0 and clears. Returns the transitions this window triggered
-  /// (also appended to events(), and delivered to the sink if one is set).
+  /// load 0 and clears. Returns the transitions this window triggered, in
+  /// node-id order (also appended to events()). The reaction controller
+  /// (core/reaction.hpp) reacts to this return value at epoch close.
   std::vector<HotspotEvent> observe(const EpochSample& sample);
-
-  /// The event bus out of the detector: every transition observe() fires is
-  /// also delivered here, in epoch order, before observe() returns. The
-  /// reaction controller (core/reaction.hpp) subscribes through this; so can
-  /// a CLI printer or a Perfetto exporter. Sinks run outside the query
-  /// engine — at epoch close, a safe point in every delivery mode — so a
-  /// sink can mutate the overlay without racing in-flight queries.
-  void set_sink(std::function<void(const HotspotEvent&)> sink) {
-    sink_ = std::move(sink);
-  }
 
   /// Whether `node` is currently flagged hot (false for unknown nodes).
   bool is_hot(overlay::NodeId node) const;
@@ -132,7 +122,6 @@ private:
 
   HotspotConfig config_;
   Registry* registry_ = nullptr;
-  std::function<void(const HotspotEvent&)> sink_;
   std::vector<HotspotEvent> events_;
   std::map<overlay::NodeId, NodeState> nodes_;
   std::size_t active_ = 0;

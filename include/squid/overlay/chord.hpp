@@ -66,8 +66,10 @@ public:
   /// Chord fingers at id + 2^k; base b keeps (b-1) fingers per base-b digit
   /// at id + j*b^k — shorter routes (log_b N hops) for larger tables (the
   /// k-ary lookup generalization of El-Ansary et al.; ablation bench).
-  explicit ChordRing(unsigned id_bits, unsigned successors = 8,
+  explicit ChordRing(unsigned id_bits,
+                     unsigned successors = kDefaultSuccessors,
                      unsigned finger_base = 2);
+  static constexpr unsigned kDefaultSuccessors = 8;
 
   unsigned id_bits() const noexcept { return id_bits_; }
   unsigned finger_base() const noexcept { return finger_base_; }

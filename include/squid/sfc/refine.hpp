@@ -6,15 +6,16 @@
 // keyword with a trailing wildcard defines a 1-wide column crossed by the
 // curve once per cell), the paper never materializes it centrally: the
 // refinement tree of Figs 6-7 is expanded *one level per overlay node*, and
-// branches are pruned where no peers/data exist. ClusterRefiner provides
-// both views: refine() is the per-node step used by the distributed query
-// engine, decompose() the bounded expansion used by tests, baselines, and
+// branches are pruned where no peers/data exist. The distributed query
+// engine runs that per-node step on a RefineCursor (cursor.hpp) directly;
+// ClusterRefiner supplies the tree's geometry (segment_of, validate_query)
+// and decompose(), the bounded expansion used by tests, baselines, and
 // cluster-count analytics.
 //
-// All tree expansion runs on the incremental RefineCursor (cursor.hpp):
-// descending a level costs O(dims) and the hot loops perform zero heap
-// allocations per tree node. The public classify/refine/decompose entry
-// points validate their query once; per-node work is unchecked.
+// All tree expansion runs on the incremental RefineCursor: descending a
+// level costs O(dims) and the hot loops perform zero heap allocations per
+// tree node. The public decompose entry points validate their query once;
+// per-node work is unchecked.
 
 #pragma once
 
@@ -40,18 +41,6 @@ struct ClusterNode {
 class ClusterRefiner {
 public:
   explicit ClusterRefiner(const Curve& curve) : curve_(curve) {}
-
-  /// Compatibility alias: the relation lives in types.hpp so the cursor can
-  /// report it without depending on this header.
-  using CellRelation = sfc::CellRelation;
-
-  CellRelation classify(const ClusterNode& node, const Rect& query) const;
-
-  /// Children of `node` (one level deeper) that intersect `query`, in
-  /// ascending prefix order, i.e. in curve order. This is the work one
-  /// overlay node performs when it receives a sub-query.
-  std::vector<ClusterNode> refine(const ClusterNode& node,
-                                  const Rect& query) const;
 
   /// Index range represented by a tree node.
   Segment segment_of(const ClusterNode& node) const;
@@ -88,7 +77,6 @@ public:
 
 private:
   void check_query(const Rect& query) const;
-  void check_node(const ClusterNode& node) const;
 
   const Curve& curve_;
 };

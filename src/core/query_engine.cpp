@@ -1,24 +1,24 @@
 // The distributed query engine (paper 3.4), message-driven (DESIGN.md 4e):
 // translate the query to refinement-tree clusters, embed the tree into the
 // overlay, prune branches that resolve locally, and aggregate sub-clusters
-// headed to the same peer. Since PR 5 resolution is not a C++ recursion:
-// each step is a typed message (core/messages.hpp) delivered by the
-// NodeRuntime (core/runtime.hpp) on a sim::Engine, so queries can overlap
-// on one virtual clock (query_async) and every leg passes the uniform
-// fault interception point (Engine::admit).
+// headed to the same peer. Resolution is not a C++ recursion: each step is
+// a typed message (core/messages.hpp) that the query's QueryExec
+// (core/runtime.hpp) posts on a sim::Engine and SquidSystem::deliver runs
+// at its destination, so queries can overlap on one virtual clock
+// (query_async) and every leg passes the uniform fault interception point
+// (Engine::admit).
 //
 // Bit-identicality contract: the synchronous query() and
 // query_centralized() wrappers drive a private engine in lockstep mode and
 // are locked bit-identical to the frozen seed resolver
 // (query_engine_reference.cpp) by tests/core/async_differential_test.cpp —
 // results, QueryStats, derive_stats on traces, the timing DAG, and the
-// fault injector's RNG stream, faults off and on (count(), a kCount
-// pushdown, is locked to the seed's count). The invariant that makes
-// this work: handlers do ALL order-sensitive planning (routing, fault
-// verdicts, budget, cache consults, timing events, non-scan spans) at
-// delivery time in the seed recursion's order (engine FIFO == the seed's
-// task deque), and defer only the order-insensitive store sweeps as
-// ScanRequest messages.
+// fault injector's RNG stream, faults off and on (a kCount query_aggregate
+// is locked to the seed's count). The invariant that makes this work:
+// handlers do ALL order-sensitive planning (routing, fault verdicts,
+// budget, cache consults, timing events, non-scan spans) at delivery time
+// in the seed recursion's order (engine FIFO == the seed's task deque), and
+// defer only the order-insensitive store sweeps as ScanRequest messages.
 //
 // Observability (DESIGN.md 4c): every accounting site pairs its QueryStats
 // mutation with a trace span carrying the same quantities, so
@@ -157,7 +157,43 @@ void SquidSystem::set_telemetry(obs::EpochSampler* sampler) noexcept {
   if (telemetry_ != nullptr) telemetry_->set_id_bits(curve_->index_bits());
 }
 
-// --- Message handlers (run at delivery; see NodeRuntime::deliver) -----------
+// --- Message handlers (run at delivery) -------------------------------------
+
+void SquidSystem::deliver(QueryExec& ex, const msg::Message& message) const {
+  struct V {
+    const SquidSystem& sys;
+    QueryExec& ex;
+    // The planner reads the clusters in place while it posts new messages;
+    // that is safe because sim::Engine::step moves each event out of its
+    // queue before running it, so the message stays put until deliver
+    // returns.
+    void operator()(const msg::ResolveRequest& r) const {
+      sys.handle_resolve(ex, r.at, nullptr, r.clusters.clusters, r.event,
+                         r.span);
+    }
+    void operator()(const msg::ClusterDispatch& d) const {
+      sys.handle_resolve(ex, d.to, &d.head, d.batch.clusters, d.event, d.span);
+    }
+    void operator()(const msg::ScanRequest& s) const {
+      // Lend the query's results to the buffer so the sweep appends in
+      // place (absorb hands them back): no second copy of every element.
+      ScanBuffer buffer;
+      buffer.elements.swap(ex.results);
+      sys.sweep_scan(ex, s, buffer);
+      ex.absorb_scan(buffer);
+    }
+    void operator()(const msg::Reply&) const { sys.finalize_query(ex); }
+    void operator()(const msg::PublishRequest&) const {
+      // Update frames ride the update plane (core/update.hpp), which owns
+      // its own safe-point commit discipline; a query must never post one.
+      SQUID_REQUIRE(false, "update frame delivered inside a query exec");
+    }
+    void operator()(const msg::RetractRequest&) const {
+      SQUID_REQUIRE(false, "update frame delivered inside a query exec");
+    }
+  };
+  std::visit(V{*this, ex}, message);
+}
 
 namespace {
 
@@ -235,17 +271,14 @@ void SquidSystem::sweep_scan(const QueryExec& ex, const msg::ScanRequest& scan,
   out.reply_frames = frames_of(out.reply_bytes);
 }
 
-void SquidSystem::plan_chain(const std::shared_ptr<QueryExec>& exec,
-                             NodeId at, NodeId pred, sfc::Segment seg,
-                             bool covered, std::int32_t event,
-                             std::int32_t span) const {
+void SquidSystem::plan_chain(QueryExec& ex, NodeId at, NodeId pred,
+                             sfc::Segment seg, bool covered,
+                             std::int32_t event, std::int32_t span) const {
   // Scan every owner of `seg` in ring order. The paper notes a cluster "may
   // be mapped to one or more adjacent nodes"; each forward to the next
   // owner is one neighbor message. The walk is *planned* here, eagerly
   // (fault verdicts and timing events in seed order); the per-owner store
   // sweeps are posted as ScanRequests and run at their delivery ticks.
-  QueryExec& ex = *exec;
-  const NodeRuntime runtime(this);
   // The owner being scanned; when `at` does not own seg.lo, routing to the
   // segment's first owner is the walk's first send.
   QueryExec::Arrival owner{true, at, event, span};
@@ -260,8 +293,8 @@ void SquidSystem::plan_chain(const std::shared_ptr<QueryExec>& exec,
   }
   while (owner.delivered) {
     const sfc::Segment local = clip_local(owner.at, seg);
-    runtime.post(exec, msg::ScanRequest{ex.id, owner.at, local, covered, {},
-                                        0, owner.event, owner.span});
+    ex.post(msg::ScanRequest{ex.id, owner.at, local, covered, {}, 0,
+                             owner.event, owner.span});
     if (entirely_local(owner.at, seg)) return;
     if (!ex.spend_dispatch()) return;
     seg.lo = local.hi + 1;
@@ -273,7 +306,7 @@ void SquidSystem::plan_chain(const std::shared_ptr<QueryExec>& exec,
 }
 
 void SquidSystem::dispatch_clusters(
-    const std::shared_ptr<QueryExec>& exec, NodeId from,
+    QueryExec& ex, NodeId from,
     const std::vector<std::pair<u128, sfc::ClusterNode>>& clusters,
     std::int32_t event, std::int32_t span) const {
   // Paper 3.4.2, second optimization: the clusters are in ascending curve
@@ -281,8 +314,6 @@ void SquidSystem::dispatch_clusters(
   // reply, then ship every further cluster owned by the same peer as one
   // aggregated message. Without aggregation each cluster is its own routed
   // message. Each entry carries its precomputed segment-lo key.
-  QueryExec& ex = *exec;
-  const NodeRuntime runtime(this);
   std::size_t i = 0;
   while (i < clusters.size()) {
     if (!ex.spend_dispatch()) return;
@@ -341,10 +372,9 @@ void SquidSystem::dispatch_clusters(
           // The replica answers the whole cluster: one scan over the
           // cluster's segment, rectangle-filtered (the entry covers every
           // key in the segment, matching or not).
-          runtime.post(exec, msg::ScanRequest{ex.id, replica,
-                                              refiner_.segment_of(head),
-                                              /*covered=*/false, {}, 0,
-                                              arrive, dspan, entry->id});
+          ex.post(msg::ScanRequest{ex.id, replica, refiner_.segment_of(head),
+                                   /*covered=*/false, {}, 0, arrive, dspan,
+                                   entry->id});
         }
         ++i;
         continue;
@@ -457,17 +487,15 @@ void SquidSystem::dispatch_clusters(
       dispatch.batch.clusters.push_back(clusters[k].second);
     dispatch.event = batch_event;
     dispatch.span = dspan;
-    runtime.post(exec, std::move(dispatch));
+    ex.post(std::move(dispatch));
     i = batch_end;
   }
 }
 
-void SquidSystem::handle_resolve(const std::shared_ptr<QueryExec>& exec,
-                                 NodeId at, const sfc::ClusterNode* head,
+void SquidSystem::handle_resolve(QueryExec& ex, NodeId at,
+                                 const sfc::ClusterNode* head,
                                  const std::vector<sfc::ClusterNode>& batch,
                                  std::int32_t event, std::int32_t span) const {
-  QueryExec& ex = *exec;
-  const NodeRuntime runtime(this);
   ex.processing.push_back(at);
   if (ex.trace) {
     const std::int32_t id = ex.trace->begin(obs::SpanKind::kRefineDescend,
@@ -532,15 +560,15 @@ void SquidSystem::handle_resolve(const std::shared_ptr<QueryExec>& exec,
     }
     const sfc::Segment seg = refiner_.segment_of(cluster);
     if (relation == CellRelation::covered) {
-      plan_chain(exec, at, pred, seg, /*covered=*/true, event, span);
+      plan_chain(ex, at, pred, seg, /*covered=*/true, event, span);
       continue;
     }
     const bool owns_lo = in_open_closed(pred, at, seg.lo);
     if (owns_lo && entirely_local(at, seg)) {
       // Fig 8's pruning: the owner's identifier is past the cluster's last
       // index, so every possible match is stored here.
-      runtime.post(exec, msg::ScanRequest{ex.id, at, seg, /*covered=*/false,
-                                          {}, 0, event, span});
+      ex.post(msg::ScanRequest{ex.id, at, seg, /*covered=*/false, {}, 0,
+                               event, span});
       continue;
     }
     // A partial cell is never a single point, so level < bits and the
@@ -567,7 +595,7 @@ void SquidSystem::handle_resolve(const std::shared_ptr<QueryExec>& exec,
   // Sort by the precomputed segment keys (curve order).
   std::sort(remote.begin(), remote.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  dispatch_clusters(exec, at, remote, event, span);
+  dispatch_clusters(ex, at, remote, event, span);
 }
 
 void SquidSystem::finalize_aggregate(QueryExec& ex) const {
@@ -575,7 +603,7 @@ void SquidSystem::finalize_aggregate(QueryExec& ex) const {
   // then merge child partials into their dispatch parents bottom-up. Every
   // merge operator is associative and commutative (ExactSum for kSum, bounded
   // sorted lists for top-k/group-by), so the result is bit-identical to the
-  // origin folding all elements itself — regardless of delivery mode, shard
+  // origin folding all elements itself — regardless of delivery mode, worker
   // count, or arrival order.
   const AggregateSpec& spec = *ex.agg;
   std::map<NodeId, AggregatePartial> nodes;
@@ -687,7 +715,6 @@ std::shared_ptr<QueryExec> SquidSystem::make_exec(
   ex.mode = mode;
   ex.engine = &engine;
   ex.sys = this;
-  ex.config = &config_;
   ex.origin = origin;
   ex.rect = query_rect(query);
   ex.dispatch_budget = 64 * (ring_.size() + 8); // churn safety valve
@@ -730,10 +757,7 @@ std::shared_ptr<QueryExec> SquidSystem::start_exec(
   return exec;
 }
 
-void SquidSystem::begin_resolution(
-    const std::shared_ptr<QueryExec>& exec) const {
-  QueryExec& ex = *exec;
-  const NodeRuntime runtime(this);
+void SquidSystem::begin_resolution(QueryExec& ex) const {
   bool is_point = true;
   for (const auto& iv : ex.rect.dims) is_point &= (iv.lo == iv.hi);
   if (is_point) {
@@ -748,31 +772,28 @@ void SquidSystem::begin_resolution(
     } else if (const QueryExec::Arrival owner =
                    ex.forward(r.path, 0, ex.root_span);
                owner.delivered) {
-      runtime.post(exec, msg::ScanRequest{ex.id, owner.at,
-                                          sfc::Segment{index, index},
-                                          /*covered=*/true, {}, 0, owner.event,
-                                          owner.span});
+      ex.post(msg::ScanRequest{ex.id, owner.at, sfc::Segment{index, index},
+                               /*covered=*/true, {}, 0, owner.event,
+                               owner.span});
     }
   } else {
     // The origin assigns itself the refinement-tree root.
-    runtime.post(exec, msg::ResolveRequest{
-                           ex.id, ex.origin,
-                           msg::AggregateBatch{{sfc::ClusterNode{0, 0}}}, 0,
-                           ex.root_span});
+    ex.post(msg::ResolveRequest{ex.id, ex.origin,
+                                msg::AggregateBatch{{sfc::ClusterNode{0, 0}}},
+                                0, ex.root_span});
   }
   // A launch that posted nothing (unroutable point query) completes now.
-  runtime.maybe_complete(exec);
+  ex.maybe_complete();
 }
 
 namespace {
 
 /// Drain a lockstep query on its private engine. The engine FIFO replays
 /// the seed recursion's order; the loop ends at Reply delivery.
-void drive_to_completion(sim::Engine& engine,
-                         const std::shared_ptr<QueryExec>& exec) {
-  while (!exec->finished && engine.step()) {
+void drive_to_completion(sim::Engine& engine, const QueryExec& ex) {
+  while (!ex.finished && engine.step()) {
   }
-  SQUID_REQUIRE(exec->finished,
+  SQUID_REQUIRE(ex.finished,
                 "query runtime stalled: engine drained before the Reply");
 }
 
@@ -789,8 +810,8 @@ QueryResult SquidSystem::run_lockstep(const keyword::Query& query,
   engine.set_fault_injector(fault);
   auto exec =
       start_exec(engine, DeliveryMode::kLockstep, query, origin, aggregate);
-  begin_resolution(exec);
-  drive_to_completion(engine, exec);
+  begin_resolution(*exec);
+  drive_to_completion(engine, *exec);
   return std::move(exec->result);
 }
 
@@ -799,7 +820,7 @@ QueryHandle SquidSystem::launch_async(const keyword::Query& query,
                                       const AggregateSpec* aggregate) const {
   auto exec =
       start_exec(engine, DeliveryMode::kVirtualTime, query, origin, aggregate);
-  begin_resolution(exec);
+  begin_resolution(*exec);
   return QueryHandle(exec);
 }
 
@@ -816,11 +837,6 @@ QueryHandle SquidSystem::query_async(const keyword::Query& query,
                                      NodeId origin,
                                      sim::Engine& engine) const {
   return launch_async(query, origin, engine, nullptr);
-}
-
-std::size_t SquidSystem::count(const keyword::Query& query,
-                               NodeId origin) const {
-  return query_count(query, origin);
 }
 
 // --- Aggregation pushdown (DESIGN.md 4g) ------------------------------------
@@ -861,53 +877,6 @@ QueryHandle SquidSystem::query_aggregate_async(const keyword::Query& query,
   return launch_async(query, origin, engine, &spec);
 }
 
-std::uint64_t SquidSystem::query_count(const keyword::Query& query,
-                                       NodeId origin) const {
-  AggregateSpec spec;
-  spec.kind = AggregateKind::kCount;
-  return query_aggregate(query, spec, origin).aggregate->count;
-}
-
-double SquidSystem::query_sum(const keyword::Query& query, std::uint32_t dim,
-                              NodeId origin) const {
-  AggregateSpec spec;
-  spec.kind = AggregateKind::kSum;
-  spec.dim = dim;
-  return query_aggregate(query, spec, origin).aggregate->sum.value();
-}
-
-std::pair<std::optional<double>, std::optional<double>>
-SquidSystem::query_min_max(const keyword::Query& query, std::uint32_t dim,
-                           NodeId origin) const {
-  AggregateSpec spec;
-  spec.kind = AggregateKind::kMin; // the partial tracks both extremes
-  spec.dim = dim;
-  const QueryResult result = query_aggregate(query, spec, origin);
-  if (!result.aggregate->has_extremes) return {std::nullopt, std::nullopt};
-  return {result.aggregate->min, result.aggregate->max};
-}
-
-std::vector<GroupCount> SquidSystem::query_group_by(const keyword::Query& query,
-                                                    std::uint32_t dim,
-                                                    NodeId origin) const {
-  AggregateSpec spec;
-  spec.kind = AggregateKind::kGroupBy;
-  spec.dim = dim;
-  return query_aggregate(query, spec, origin).aggregate->groups;
-}
-
-std::vector<TopEntry> SquidSystem::query_top_k(const keyword::Query& query,
-                                               std::uint32_t dim,
-                                               std::uint32_t k, NodeId origin,
-                                               bool largest) const {
-  AggregateSpec spec;
-  spec.kind = AggregateKind::kTopK;
-  spec.dim = dim;
-  spec.k = k;
-  spec.largest = largest;
-  return query_aggregate(query, spec, origin).aggregate->top;
-}
-
 QueryResult SquidSystem::query_centralized(const keyword::Query& query,
                                            NodeId origin,
                                            std::size_t max_segments) const {
@@ -937,10 +906,10 @@ QueryResult SquidSystem::query_centralized(const keyword::Query& query,
 
   const NodeId pred = ring_.predecessor_of(origin);
   for (const sfc::Segment& seg : segments) {
-    plan_chain(exec, origin, pred, seg, /*covered=*/false, /*event=*/0, span);
+    plan_chain(ex, origin, pred, seg, /*covered=*/false, /*event=*/0, span);
   }
-  NodeRuntime(this).maybe_complete(exec);
-  drive_to_completion(engine, exec);
+  ex.maybe_complete();
+  drive_to_completion(engine, ex);
   return std::move(exec->result);
 }
 

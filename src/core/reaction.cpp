@@ -70,13 +70,7 @@ ReactionController::ReactionController(SquidSystem& sys,
                                        obs::HotspotConfig detector_config,
                                        ReactionConfig config,
                                        std::uint64_t seed)
-    : sys_(sys), config_(config), detector_(detector_config), rng_(seed) {
-  // Subscribe to the detector's event bus: transitions land in pending_ and
-  // on_epoch drains them after observe() returns. Other consumers (a CLI
-  // printer, a Perfetto exporter) can still read detector().events().
-  detector_.set_sink(
-      [this](const obs::HotspotEvent& event) { pending_.push_back(event); });
-}
+    : sys_(sys), config_(config), detector_(detector_config), rng_(seed) {}
 
 sfc::ClusterNode ReactionController::covering_cluster(NodeId node) const {
   // The keys `node` owns live in the wrapped ring interval (pred, node].
@@ -370,12 +364,11 @@ void ReactionController::escalate(const obs::EpochSample& sample,
 
 ReactionReport ReactionController::on_epoch(const obs::EpochSample& sample) {
   ReactionReport report;
-  pending_.clear();
-  detector_.observe(sample); // transitions arrive through the sink
+  const std::vector<obs::HotspotEvent> fired = detector_.observe(sample);
   if (!config_.enabled) {
-    // Detection only: count what fired, touch nothing (the PR 8 behavior —
-    // the bit-transparency differential runs in this mode).
-    for (const obs::HotspotEvent& event : pending_)
+    // Detection only: count what fired, touch nothing (the
+    // bit-transparency differential runs in this mode).
+    for (const obs::HotspotEvent& event : fired)
       (event.kind == obs::HotspotEvent::Kind::kOnset ? report.onsets
                                                      : report.clears) += 1;
     totals_.onsets += report.onsets;
@@ -395,7 +388,7 @@ ReactionReport ReactionController::on_epoch(const obs::EpochSample& sample) {
     const double alpha = detector_.config().alpha;
     ring_baseline_ = alpha * ring_total + (1.0 - alpha) * ring_baseline_;
   }
-  for (const obs::HotspotEvent& event : pending_) {
+  for (const obs::HotspotEvent& event : fired) {
     if (event.kind == obs::HotspotEvent::Kind::kOnset)
       react_onset(event, node_load(sample, event.node), report);
     else
@@ -410,21 +403,6 @@ ReactionReport ReactionController::on_epoch(const obs::EpochSample& sample) {
   totals_.refreshes += report.refreshes;
   totals_.drops += report.drops;
   return report;
-}
-
-ReactionReport ReactionController::on_series(const obs::LoadSeries& series) {
-  ReactionReport sum;
-  for (const obs::EpochSample& sample : series.epochs) {
-    const ReactionReport r = on_epoch(sample);
-    sum.onsets += r.onsets;
-    sum.clears += r.clears;
-    sum.splits += r.splits;
-    sum.replications += r.replications;
-    sum.widens += r.widens;
-    sum.refreshes += r.refreshes;
-    sum.drops += r.drops;
-  }
-  return sum;
 }
 
 ReactionController::Phase ReactionController::phase_of(NodeId node) const {

@@ -1,10 +1,11 @@
-// NodeRuntime + QueryExec leg machinery (DESIGN.md 4e).
+// QueryExec: posting, completion and leg machinery (DESIGN.md 4e).
 //
 // The handlers a delivery runs live in query_engine.cpp as SquidSystem
-// methods (they read ring/store/refiner state); this file owns the generic
-// runtime: scheduling arrivals, dispatching on message type, counting
-// outstanding work, and the send and fault-aware leg accounting shared by
-// every planning site (forward, dispatch_head, absorb_scan).
+// methods (they read ring/store/refiner state), dispatched by
+// SquidSystem::deliver; this file owns the generic runtime: scheduling
+// arrivals, counting outstanding work, and the send and fault-aware leg
+// accounting shared by every planning site (forward, dispatch_head,
+// absorb_scan).
 
 #include "squid/core/runtime.hpp"
 
@@ -38,6 +39,10 @@ QueryExec::Leg QueryExec::judge_leg(sim::Engine& engine,
   out.delivered = false;
   fault->report_timeout(from, to);
   return out;
+}
+
+QueryExec::Leg QueryExec::attempt_leg(NodeId from, NodeId to) {
+  return judge_leg(*engine, sys->config(), from, to);
 }
 
 void QueryExec::pay_leg(const Leg& leg, NodeId to, std::int32_t event,
@@ -221,92 +226,48 @@ std::int32_t event_of(const msg::Message& message) {
 
 } // namespace
 
-void NodeRuntime::post(const std::shared_ptr<QueryExec>& exec,
-                       msg::Message message) const {
-  QueryExec& ex = *exec;
-  sim::Engine& engine = *ex.engine;
-  if (auto* scan = std::get_if<msg::ScanRequest>(&message); scan && ex.agg) {
+void QueryExec::post(msg::Message message) {
+  if (auto* scan = std::get_if<msg::ScanRequest>(&message); scan && agg) {
     // Aggregate pushdown: stamp the spec so the scan site folds instead of
     // shipping, and assign the scan's record slot in post order (identical
     // across delivery modes, whatever order the scans later deliver in).
-    scan->agg = *ex.agg;
-    scan->slot = static_cast<std::uint32_t>(ex.agg_scans.size());
-    ex.agg_scans.emplace_back();
+    scan->agg = *agg;
+    scan->slot = static_cast<std::uint32_t>(agg_scans.size());
+    agg_scans.emplace_back();
   }
   sim::Time delay = 0;
-  if (ex.mode == DeliveryMode::kVirtualTime) {
+  if (mode == DeliveryMode::kVirtualTime) {
     const std::int32_t event = event_of(message);
     if (event >= 0) {
       // Deliver at the message's timing-DAG tick on the shared clock. The
       // poster runs at its own event's tick, so the target is never in the
-      // past; the max() guards the zero-hop case.
-      const sim::Time target = ex.started_at + ex.tick(event);
-      delay = target > engine.now() ? target - engine.now() : 0;
+      // past; the comparison guards the zero-hop case.
+      const sim::Time target = started_at + tick(event);
+      delay = target > engine->now() ? target - engine->now() : 0;
     }
   }
-  ++ex.outstanding;
-  const NodeRuntime runtime = *this;
-  engine.schedule(delay, [runtime, exec, m = std::move(message)]() {
-    runtime.deliver(exec, m);
-    --exec->outstanding;
-    runtime.maybe_complete(exec);
-  });
+  ++outstanding;
+  engine->schedule(delay,
+                   [exec = shared_from_this(), m = std::move(message)]() {
+                     exec->sys->deliver(*exec, m);
+                     --exec->outstanding;
+                     exec->maybe_complete();
+                   });
 }
 
-void NodeRuntime::deliver(const std::shared_ptr<QueryExec>& exec,
-                          const msg::Message& message) const {
-  struct V {
-    const NodeRuntime& rt;
-    const std::shared_ptr<QueryExec>& exec;
-    // The planner reads the clusters in place while it posts new messages;
-    // that is safe because sim::Engine::step moves each event out of its
-    // queue before running it, so the message stays put until deliver
-    // returns.
-    void operator()(const msg::ResolveRequest& r) const {
-      rt.sys_->handle_resolve(exec, r.at, nullptr, r.clusters.clusters,
-                              r.event, r.span);
-    }
-    void operator()(const msg::ClusterDispatch& d) const {
-      rt.sys_->handle_resolve(exec, d.to, &d.head, d.batch.clusters, d.event,
-                              d.span);
-    }
-    void operator()(const msg::ScanRequest& s) const {
-      // Lend the query's results to the buffer so the sweep appends in
-      // place (absorb hands them back): no second copy of every element.
-      ScanBuffer buffer;
-      buffer.elements.swap(exec->results);
-      rt.sys_->sweep_scan(*exec, s, buffer);
-      exec->absorb_scan(buffer);
-    }
-    void operator()(const msg::Reply&) const {
-      rt.sys_->finalize_query(*exec);
-    }
-    void operator()(const msg::PublishRequest&) const {
-      // Update frames ride the update plane (core/update.hpp), which owns
-      // its own safe-point commit discipline; a query must never post one.
-      SQUID_REQUIRE(false, "update frame delivered inside a query exec");
-    }
-    void operator()(const msg::RetractRequest&) const {
-      SQUID_REQUIRE(false, "update frame delivered inside a query exec");
-    }
-  };
-  std::visit(V{*this, exec}, message);
-}
-
-void NodeRuntime::maybe_complete(const std::shared_ptr<QueryExec>& exec) const {
-  QueryExec& ex = *exec;
-  if (ex.outstanding != 0 || ex.reply_posted) return;
-  ex.reply_posted = true;
+void QueryExec::maybe_complete() {
+  if (outstanding != 0 || reply_posted) return;
+  reply_posted = true;
   msg::Reply reply;
-  reply.query = ex.id;
-  reply.from = ex.origin;
-  reply.to = ex.origin;
-  reply.complete = ex.complete;
-  reply.count = ex.results.size();
+  reply.query = id;
+  reply.from = origin;
+  reply.to = origin;
+  reply.complete = complete;
+  reply.count = results.size();
   // Result data accumulated at the origin as scans delivered; the in-memory
   // Reply is the completion marker and carries only the summary. (On the
   // wire — serialize.cpp — a Reply ships elements too.)
-  post(exec, std::move(reply));
+  post(std::move(reply));
 }
 
 } // namespace squid::core

@@ -220,7 +220,7 @@ void write_element(Sink& out, const DataElement& element) {
 }
 
 /// One element as a line of its own: a Reply payload line, a snapshot
-/// element line.
+/// element line. read_element reads either back.
 template <class Sink>
 void write_element_line(Sink& out, const DataElement& element) {
   write_element(out, element);
@@ -232,18 +232,18 @@ DataElement read_element(std::istream& in) {
   element.name = read_string(in);
   std::size_t token_count = 0;
   in >> token_count;
-  SQUID_REQUIRE(in, "message: truncated element");
+  SQUID_REQUIRE(in, "element: truncated token count");
   for (std::size_t t = 0; t < token_count; ++t) {
     char kind = 0;
     in >> kind;
-    SQUID_REQUIRE(in, "message: truncated token");
+    SQUID_REQUIRE(in, "element: truncated token");
     if (kind == 's') {
       element.keys.emplace_back(read_string(in));
     } else if (kind == 'n') {
       element.keys.emplace_back(
-          bits_double(in, "message: malformed numeric token"));
+          bits_double(in, "element: malformed numeric token"));
     } else {
-      SQUID_REQUIRE(false, "message: unknown token kind");
+      SQUID_REQUIRE(false, "element: unknown token kind");
     }
   }
   return element;
@@ -626,24 +626,9 @@ void load_snapshot(SquidSystem& sys, std::istream& in) {
   in >> element_count;
   SQUID_REQUIRE(in, "snapshot: bad element count");
   for (std::size_t i = 0; i < element_count; ++i) {
-    DataElement element;
-    element.name = read_string(in);
-    std::size_t token_count = 0;
-    in >> token_count;
-    SQUID_REQUIRE(in && token_count == dims,
+    const DataElement element = read_element(in);
+    SQUID_REQUIRE(element.keys.size() == dims,
                   "snapshot: element arity mismatch");
-    for (std::size_t t = 0; t < token_count; ++t) {
-      char kind = 0;
-      in >> kind;
-      if (kind == 's') {
-        element.keys.emplace_back(read_string(in));
-      } else if (kind == 'n') {
-        element.keys.emplace_back(
-            bits_double(in, "snapshot: malformed numeric token"));
-      } else {
-        SQUID_REQUIRE(false, "snapshot: unknown token kind");
-      }
-    }
     sys.publish(element);
   }
   sys.repair_routing();

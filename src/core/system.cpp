@@ -13,10 +13,9 @@ SquidSystem::SquidSystem(keyword::KeywordSpace space, SquidConfig config)
       curve_(sfc::make_curve(config_.curve, space_.dims(),
                              space_.bits_per_dim())),
       refiner_(*curve_),
-      ring_(curve_->index_bits(), config_.successor_list, config_.finger_base),
-      store_(config_.store_delta_cap) {
-  set_tracing(config_.trace_queries);
-}
+      ring_(curve_->index_bits(), overlay::ChordRing::kDefaultSuccessors,
+            config_.finger_base),
+      store_(config_.store_delta_cap) {}
 
 u128 SquidSystem::index_of_element(const DataElement& element) const {
   return curve_->index_of(space_.encode(element.keys));
@@ -242,7 +241,6 @@ bool SquidSystem::refresh_replica(std::uint64_t id) {
   if (it == replica_cache_.end()) return false;
   ReplicaEntry& entry = it->second;
   entry.valid = true;
-  ++entry.version;
   replica_counters_->refreshes.fetch_add(1, std::memory_order_relaxed);
   obs::bump("squid.balance.replica.refreshes");
   return true;
@@ -255,11 +253,6 @@ bool SquidSystem::drop_replica(std::uint64_t id) {
 bool SquidSystem::replica_valid(std::uint64_t id) const {
   const auto it = replica_cache_.find(id);
   return it != replica_cache_.end() && it->second.valid;
-}
-
-std::uint64_t SquidSystem::replica_version(std::uint64_t id) const {
-  const auto it = replica_cache_.find(id);
-  return it != replica_cache_.end() ? it->second.version : 0;
 }
 
 std::uint64_t SquidSystem::replica_serves(std::uint64_t id) const {
@@ -312,7 +305,6 @@ void SquidSystem::invalidate_replicas(std::span<const u128> touched) {
                                       entry.segment.lo);
     if (hit == touched.end() || *hit > entry.segment.hi) continue;
     entry.valid = false;
-    ++entry.version;
     replica_counters_->invalidations.fetch_add(1, std::memory_order_relaxed);
     obs::bump("squid.balance.replica.invalidations");
   }

@@ -69,11 +69,12 @@ UpdateResult plan_op(const SquidSystem& sys, const UpdateOp& op,
 
 UpdateRun apply_updates(SquidSystem& sys, const std::vector<UpdateOp>& ops,
                         const UpdateOptions& opts) {
+  SQUID_REQUIRE(opts.shards >= 1, "apply_updates needs at least one worker");
   UpdateRun run;
   run.results.resize(ops.size());
 
   // Plan every op into its own slot, spread over the worker threads.
-  for_each_index(std::max(1u, opts.shards), ops.size(), [&](std::size_t seq) {
+  for_each_index(opts.shards, ops.size(), [&](std::size_t seq) {
     run.results[seq] = plan_op(sys, ops[seq], seq, opts.faults);
   });
 

@@ -81,8 +81,6 @@ std::vector<HotspotEvent> HotspotDetector::observe(const EpochSample& sample) {
         .set(static_cast<double>(active_));
   }
   events_.insert(events_.end(), fired.begin(), fired.end());
-  if (sink_)
-    for (const HotspotEvent& e : fired) sink_(e);
   return fired;
 }
 

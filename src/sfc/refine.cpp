@@ -35,40 +35,6 @@ void ClusterRefiner::check_query(const Rect& query) const {
   }
 }
 
-void ClusterRefiner::check_node(const ClusterNode& node) const {
-  SQUID_REQUIRE(node.level <= curve_.bits_per_dim(),
-                "cell level exceeds curve depth");
-  SQUID_REQUIRE(node.prefix <= low_mask(node.level * curve_.dims()),
-                "prefix too wide for level");
-}
-
-ClusterRefiner::CellRelation ClusterRefiner::classify(const ClusterNode& node,
-                                                      const Rect& query) const {
-  check_query(query);
-  check_node(node);
-  RefineCursor cursor(curve_);
-  cursor.seek(node.prefix, node.level);
-  return cursor.relation_to(query);
-}
-
-std::vector<ClusterNode> ClusterRefiner::refine(const ClusterNode& node,
-                                                const Rect& query) const {
-  check_query(query);
-  check_node(node);
-  SQUID_REQUIRE(node.level < curve_.bits_per_dim(),
-                "cannot refine a leaf-level cluster");
-  RefineCursor cursor(curve_);
-  cursor.seek(node.prefix, node.level);
-  std::vector<ClusterNode> children;
-  const u128 fanout = cursor.fanout();
-  for (u128 w = 0; w < fanout; ++w) {
-    if (cursor.classify_child(w, query) != CellRelation::disjoint)
-      children.push_back(ClusterNode{
-          child_prefix(node.prefix, curve_.dims(), w), node.level + 1});
-  }
-  return children;
-}
-
 Segment ClusterRefiner::segment_of(const ClusterNode& node) const {
   SQUID_REQUIRE(node.level <= curve_.bits_per_dim(),
                 "cluster level exceeds curve depth");

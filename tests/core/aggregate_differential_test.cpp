@@ -336,7 +336,14 @@ INSTANTIATE_TEST_SUITE_P(
              (std::get<3>(info.param) ? "_cache" : "_nocache");
     });
 
-// --- Convenience wrappers & spec validation ---------------------------------
+// --- One spec per kind & spec validation ------------------------------------
+
+/// The merged partial query_aggregate returns for `spec`.
+AggregatePartial aggregate_of(const SquidSystem& sys, const keyword::Query& q,
+                              const AggregateSpec& spec,
+                              overlay::NodeId origin) {
+  return *sys.query_aggregate(q, spec, origin).aggregate;
+}
 
 TEST(AggregateApiTest, WrappersAgreeWithTheOracle) {
   TwinWorld world = make_world(Config{"hilbert", 2, true, false});
@@ -345,8 +352,10 @@ TEST(AggregateApiTest, WrappersAgreeWithTheOracle) {
   const overlay::NodeId origin = world.live->ring().random_node(rng);
   const QueryResult ref = world.ref->query(q, origin);
   ASSERT_FALSE(ref.elements.empty());
+  const SquidSystem& live = *world.live;
 
-  EXPECT_EQ(world.live->query_count(q, origin), ref.elements.size());
+  EXPECT_EQ(aggregate_of(live, q, {AggregateKind::kCount}, origin).count,
+            ref.elements.size());
 
   ExactSum expect_sum;
   double expect_min = 0, expect_max = 0;
@@ -358,21 +367,26 @@ TEST(AggregateApiTest, WrappersAgreeWithTheOracle) {
     if (first || v > expect_max) expect_max = v;
     first = false;
   }
-  EXPECT_EQ(double_bits(world.live->query_sum(q, 1, origin)),
+  EXPECT_EQ(double_bits(
+                aggregate_of(live, q, {AggregateKind::kSum, 1}, origin)
+                    .sum.value()),
             double_bits(expect_sum.value()));
 
-  const auto [min, max] = world.live->query_min_max(q, 1, origin);
-  ASSERT_TRUE(min.has_value());
-  ASSERT_TRUE(max.has_value());
-  EXPECT_EQ(double_bits(*min), double_bits(expect_min));
-  EXPECT_EQ(double_bits(*max), double_bits(expect_max));
+  // One kMin query answers both extremes.
+  const AggregatePartial extremes =
+      aggregate_of(live, q, {AggregateKind::kMin, 1}, origin);
+  ASSERT_TRUE(extremes.has_extremes);
+  EXPECT_EQ(double_bits(extremes.min), double_bits(expect_min));
+  EXPECT_EQ(double_bits(extremes.max), double_bits(expect_max));
 
-  const std::vector<GroupCount> groups = world.live->query_group_by(q, 0, origin);
+  const std::vector<GroupCount> groups =
+      aggregate_of(live, q, {AggregateKind::kGroupBy, 0}, origin).groups;
   std::uint64_t grouped = 0;
   for (const GroupCount& g : groups) grouped += g.count;
   EXPECT_EQ(grouped, ref.elements.size());
 
-  const std::vector<TopEntry> top = world.live->query_top_k(q, 1, 3, origin);
+  const std::vector<TopEntry> top =
+      aggregate_of(live, q, {AggregateKind::kTopK, 1, 3}, origin).top;
   ASSERT_EQ(top.size(), std::min<std::size_t>(3, ref.elements.size()));
   EXPECT_GE(top.front().value, top.back().value);
 }
@@ -389,10 +403,11 @@ TEST(AggregateApiTest, EmptyMatchYieldsEmptyExtremes) {
   const overlay::NodeId origin = world.live->ring().random_node(rng);
   const QueryResult ref = world.ref->query(q, origin);
   if (!ref.elements.empty()) GTEST_SKIP() << "corpus happens to match";
-  const auto [min, max] = world.live->query_min_max(q, 1, origin);
-  EXPECT_FALSE(min.has_value());
-  EXPECT_FALSE(max.has_value());
-  EXPECT_EQ(world.live->query_count(q, origin), 0u);
+  const AggregatePartial extremes =
+      aggregate_of(*world.live, q, {AggregateKind::kMin, 1}, origin);
+  EXPECT_FALSE(extremes.has_extremes);
+  EXPECT_EQ(
+      aggregate_of(*world.live, q, {AggregateKind::kCount}, origin).count, 0u);
 }
 
 TEST(AggregateApiTest, InvalidSpecsFailLoudly) {

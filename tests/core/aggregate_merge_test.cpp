@@ -293,7 +293,7 @@ TEST(AggregateMergeTest, GroupByIsKeyOrderIndependentAndSorted) {
 }
 
 TEST(AggregateMergeTest, MinMaxPartialTracksBothExtremes) {
-  // One kMin query answers both extremes (query_min_max reads min AND max
+  // One kMin query answers both extremes (the caller reads min AND max
   // from the same partial), so the partial must track both regardless of
   // the requested kind.
   AggregateSpec spec;

@@ -47,7 +47,6 @@ TwinWorld make_world(const Config& param, bool traced) {
   config.finger_base = finger_base;
   config.aggregate_subclusters = aggregate;
   config.cache_cluster_owners = cache;
-  config.trace_queries = traced;
 
   const char letters[] = "abcde";
   const keyword::KeywordSpace space(
@@ -55,6 +54,8 @@ TwinWorld make_world(const Config& param, bool traced) {
   TwinWorld world;
   world.live = std::make_unique<SquidSystem>(space, config);
   world.ref = std::make_unique<SquidSystem>(space, config);
+  world.live->set_tracing(traced);
+  world.ref->set_tracing(traced);
 
   Rng rng_a(0xd1f ^ finger_base), rng_b(0xd1f ^ finger_base);
   world.live->build_network(35, rng_a);
@@ -177,7 +178,8 @@ TEST_P(AsyncDifferential, CountQueriesMatchTheSeedRecursion) {
   for (int trial = 0; trial < 20; ++trial) {
     const keyword::Query q = random_query(rng);
     const auto origin = world.live->ring().random_node(rng);
-    EXPECT_EQ(world.live->count(q, origin),
+    EXPECT_EQ(world.live->query_aggregate(q, {AggregateKind::kCount}, origin)
+                  .aggregate->count,
               world.ref->count_reference(q, origin))
         << keyword::to_string(q);
   }

@@ -273,7 +273,9 @@ TEST(FlatStoreDifferential, ScanOrderDrivesQueriesIdentically) {
     EXPECT_EQ(ra.stats.matches, corpus.size());
     EXPECT_EQ(ra.elements, rb.elements); // same elements, same order
     EXPECT_EQ(ra.stats.messages, rb.stats.messages);
-    EXPECT_EQ(a.count(q, origin_a), corpus.size());
+    EXPECT_EQ(a.query_aggregate(q, {AggregateKind::kCount}, origin_a)
+                  .aggregate->count,
+              corpus.size());
   }
 }
 

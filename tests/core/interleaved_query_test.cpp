@@ -29,15 +29,13 @@ struct World {
 };
 
 World make_world(bool traced) {
-  SquidConfig config;
-  config.trace_queries = traced;
   const char letters[] = "abcde";
   World world{SquidSystem(keyword::KeywordSpace(
-                              {keyword::StringCodec(letters, 3),
-                               keyword::StringCodec(letters, 3)}),
-                          std::move(config)),
+                  {keyword::StringCodec(letters, 3),
+                   keyword::StringCodec(letters, 3)})),
               {},
               {}};
+  world.sys.set_tracing(traced);
   Rng rng(0xa57c);
   world.sys.build_network(40, rng);
   for (int i = 0; i < 500; ++i) {

@@ -16,9 +16,11 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <typeinfo>
 #include <utility>
 #include <vector>
 
+#include "byte_mutator.hpp"
 #include "squid/core/messages.hpp"
 #include "squid/core/serialize.hpp"
 #include "squid/util/rng.hpp"
@@ -509,6 +511,39 @@ TEST(MessageSerialize, GoldenFramesAreWrittenAndReadByteForByte) {
     EXPECT_EQ(consumed, frames[i].size()) << type;
     EXPECT_EQ(encode(back), frames[i]) << type;
   }
+}
+
+// --- Mutated frames ----------------------------------------------------------
+// Fixed-seed single-byte substitutions, insertions, deletions and
+// truncations of every golden frame. A mutant either decodes (it is still a
+// well-formed frame) or throws std::invalid_argument; any other exception —
+// std::out_of_range, std::length_error, std::bad_alloc, a variant or
+// optional access error — is a decoder bug.
+
+TEST(MessageSerialize, MutatedGoldenFramesDecodeOrFailLoudly) {
+  constexpr int kMutantsPerFrame = 2000;
+  Rng rng(0x6d757461);
+  std::size_t rejected = 0;
+  for (const msg::Message& message : golden_messages()) {
+    const std::string frame = encode(message);
+    for (int i = 0; i < kMutantsPerFrame; ++i) {
+      const std::string mutant = testing_support::mutate_one_byte(frame, rng);
+      try {
+        (void)decode(mutant);
+      } catch (const std::invalid_argument&) {
+        ++rejected;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << msg::type_name(message) << " mutant threw "
+                      << typeid(e).name() << ": " << e.what() << "\n"
+                      << mutant;
+      } catch (...) {
+        ADD_FAILURE() << msg::type_name(message)
+                      << " mutant threw a non-std exception\n"
+                      << mutant;
+      }
+    }
+  }
+  EXPECT_GT(rejected, 0u); // the mutations actually reach the parsers
 }
 
 // --- Sizing = writing --------------------------------------------------------

@@ -71,7 +71,6 @@ TwinWorld make_world(const Config& param, bool traced) {
   config.finger_base = finger_base;
   config.aggregate_subclusters = aggregate;
   config.cache_cluster_owners = cache;
-  config.trace_queries = traced;
 
   const char letters[] = "abcde";
   const keyword::KeywordSpace space(
@@ -79,6 +78,8 @@ TwinWorld make_world(const Config& param, bool traced) {
   TwinWorld world;
   world.live = std::make_unique<SquidSystem>(space, config);
   world.ref = std::make_unique<SquidSystem>(space, config);
+  world.live->set_tracing(traced);
+  world.ref->set_tracing(traced);
 
   Rng rng_a(0xd1f ^ finger_base), rng_b(0xd1f ^ finger_base);
   world.live->build_network(35, rng_a);

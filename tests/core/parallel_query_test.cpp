@@ -1,10 +1,10 @@
 // Concurrency contract of the query engine (DESIGN.md 4b): with the owner
-// cache off, query()/count() are pure readers over the flat store and the
-// ring — many threads may resolve queries at once, and each must get the
-// exact single-threaded result. With the cache ON, concurrent queries write
-// shared state; the engine must fail loudly (SQUID_REQUIRE) instead of
-// racing. This suite carries the "sanitize" ctest label and is the primary
-// TSan workload.
+// cache off, query() and query_aggregate() are pure readers over the flat
+// store and the ring — many threads may resolve queries at once, and each
+// must get the exact single-threaded result. With the cache ON, concurrent
+// queries write shared state; the engine must fail loudly (SQUID_REQUIRE)
+// instead of racing. This suite carries the "sanitize" ctest label and is
+// the primary TSan workload.
 
 #include <gtest/gtest.h>
 
@@ -81,7 +81,8 @@ TEST(ParallelQuery, ConcurrentReadersMatchSingleThreadedResults) {
             got.stats.matches != w.expected.stats.matches) {
           mismatches.fetch_add(1, std::memory_order_relaxed);
         }
-        if (sys.count(w.query, w.origin) != w.expected.stats.matches)
+        if (sys.query_aggregate(w.query, {AggregateKind::kCount}, w.origin)
+                .aggregate->count != w.expected.stats.matches)
           mismatches.fetch_add(1, std::memory_order_relaxed);
       }
     });
@@ -99,7 +100,9 @@ TEST(ParallelQuery, CachedQueriesStillWorkSingleThreaded) {
   // Sequential reuse is the supported cache mode; the guard must not trip.
   const QueryResult second = sys.query(q, origin);
   EXPECT_EQ(first.elements, second.elements);
-  EXPECT_EQ(sys.count(q, origin), first.stats.matches);
+  EXPECT_EQ(
+      sys.query_aggregate(q, {AggregateKind::kCount}, origin).aggregate->count,
+      first.stats.matches);
 }
 
 TEST(ParallelQuery, GuardTripsWhenCachedQueryOverlaps) {

@@ -6,8 +6,10 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <typeinfo>
 #include <vector>
 
+#include "byte_mutator.hpp"
 #include "squid/workload/corpus.hpp"
 
 namespace squid::core {
@@ -197,6 +199,35 @@ TEST(Snapshot, HostileCountsAndLengthsFailLoudly) {
     std::istringstream in(text);
     EXPECT_THROW(load_snapshot(sys, in), std::invalid_argument) << text;
   }
+}
+
+// Fixed-seed single-byte substitutions, insertions, deletions and
+// truncations of a saved snapshot: each mutant either loads or throws
+// std::invalid_argument, and nothing else escapes the loader.
+TEST(Snapshot, MutatedSnapshotsLoadOrFailLoudly) {
+  constexpr int kMutants = 5000;
+  SquidSystem original(mixed_space());
+  fill_golden_system(original);
+  const std::string saved = save_text(original);
+  Rng rng(0x736e6170);
+  std::size_t rejected = 0;
+  for (int i = 0; i < kMutants; ++i) {
+    const std::string mutant = testing_support::mutate_one_byte(saved, rng);
+    SquidSystem sys(mixed_space());
+    std::istringstream in(mutant);
+    try {
+      load_snapshot(sys, in);
+    } catch (const std::invalid_argument&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutant threw " << typeid(e).name() << ": "
+                    << e.what() << "\n"
+                    << mutant;
+    } catch (...) {
+      ADD_FAILURE() << "mutant threw a non-std exception\n" << mutant;
+    }
+  }
+  EXPECT_GT(rejected, 0u); // the mutations actually reach the parser
 }
 
 } // namespace

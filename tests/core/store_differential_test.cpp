@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -100,7 +101,10 @@ void expect_twin_equal(SquidSystem& lhs, SquidSystem& rhs, Rng& origins) {
     const QueryResult rr = rhs.query(q, origin);
     EXPECT_EQ(rl.elements, rr.elements) << text;
     EXPECT_EQ(rl.stats.matches, rr.stats.matches) << text;
-    EXPECT_EQ(lhs.count(q, origin), rhs.count(q, origin)) << text;
+    const AggregateSpec count{AggregateKind::kCount};
+    EXPECT_EQ(lhs.query_aggregate(q, count, origin).aggregate->count,
+              rhs.query_aggregate(q, count, origin).aggregate->count)
+        << text;
   }
 }
 
@@ -311,6 +315,22 @@ TEST(StoreDifferential, SingleOpConveniencesRoundTrip) {
   const UpdateResult miss = retract_update(sys, e, origin);
   EXPECT_TRUE(miss.delivered);
   EXPECT_FALSE(miss.applied);
+}
+
+TEST(StoreDifferential, ZeroWorkersIsRejected) {
+  // Same contract as query_parallel: a worker count of 0 is a caller error,
+  // not a silent single worker. Nothing is planned or applied.
+  Rng rng(0x52);
+  SquidSystem sys(two_dim_space());
+  sys.build_network(12, rng);
+  const NodeId origin = sys.ring().random_node(rng);
+  UpdateOptions opts;
+  opts.shards = 0;
+  EXPECT_THROW(
+      (void)apply_updates(
+          sys, {UpdateOp::publish(random_element(rng, 0), origin)}, opts),
+      std::invalid_argument);
+  EXPECT_EQ(sys.element_count(), 0u);
 }
 
 TEST(StoreDifferential, TieredAndFlatCapsAnswerIdentically) {

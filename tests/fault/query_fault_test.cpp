@@ -115,9 +115,8 @@ TEST(QueryFault, ProcessTimeoutsDrainsReportsIntoRingRepair) {
 
 #if SQUID_OBS_ENABLED
 TEST(QueryFault, TraceDerivedStatsMatchEngineStatsUnderFaults) {
-  SquidConfig config;
-  config.trace_queries = true;
-  Corpus corpus = make_corpus(99, std::move(config));
+  Corpus corpus = make_corpus(99);
+  corpus.sys.set_tracing(true);
   sim::FaultPlan plan;
   plan.seed = 31;
   plan.drop_probability = 0.2;

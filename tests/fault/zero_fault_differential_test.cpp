@@ -26,13 +26,13 @@ struct Corpus {
 
 Corpus make_corpus(std::uint64_t seed) {
   SquidConfig config;
-  config.trace_queries = true;
   config.cache_cluster_owners = true;
   Corpus corpus{
       SquidSystem(keyword::KeywordSpace({keyword::StringCodec("abcd", 3),
                                          keyword::StringCodec("abcd", 3)}),
                   std::move(config)),
       {}};
+  corpus.sys.set_tracing(true);
   Rng rng(seed);
   corpus.sys.build_network(48, rng);
   const char letters[] = "abcd";
@@ -129,11 +129,13 @@ TEST(ZeroFaultDifferential, EmptyPlanLeavesCountQueriesIdentical) {
   sim::FaultInjector injector{sim::FaultPlan{}};
   faulted.sys.set_fault_injector(&injector);
 
+  const AggregateSpec count{AggregateKind::kCount};
   Rng pick_bare(11), pick_faulted(11);
   for (const auto& q : bare.queries) {
     const auto origin = bare.sys.ring().random_node(pick_bare);
     ASSERT_EQ(origin, faulted.sys.ring().random_node(pick_faulted));
-    EXPECT_EQ(bare.sys.count(q, origin), faulted.sys.count(q, origin));
+    EXPECT_EQ(bare.sys.query_aggregate(q, count, origin).aggregate->count,
+              faulted.sys.query_aggregate(q, count, origin).aggregate->count);
   }
   EXPECT_EQ(injector.rng_draws(), 0u);
 }

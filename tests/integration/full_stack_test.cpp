@@ -50,7 +50,10 @@ TEST(FullStack, LifecyclePreservesEveryGuarantee) {
   std::sort(expected.begin(), expected.end());
   const auto first = sys.query(probe, sys.ring().random_node(rng));
   ASSERT_EQ(names_of(first.elements), expected);
-  EXPECT_EQ(sys.count(probe, sys.ring().random_node(rng)), expected.size());
+  EXPECT_EQ(sys.query_aggregate(probe, {core::AggregateKind::kCount},
+                                sys.ring().random_node(rng))
+                .aggregate->count,
+            expected.size());
 
   // Stage 3: timing DAG is structurally valid and consistent with stats.
   ASSERT_GE(first.timing.size(), 1u);

@@ -233,11 +233,10 @@ TEST(Exporters, DumpMetricsPicksFormatByExtension) {
 }
 
 core::QueryResult traced_query() {
-  core::SquidConfig config;
-  config.trace_queries = true;
   Rng rng(272);
   workload::KeywordCorpus corpus(2, 150, 0.9, rng);
-  core::SquidSystem sys(corpus.make_space(), config);
+  core::SquidSystem sys(corpus.make_space());
+  sys.set_tracing(true);
   sys.build_network(40, rng);
   sys.publish_batch(corpus.make_elements(600, rng));
   return sys.query(corpus.q1(0, true), sys.ring().random_node(rng));

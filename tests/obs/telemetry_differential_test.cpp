@@ -74,7 +74,6 @@ TwinWorld make_world(const Config& param, bool traced) {
   config.finger_base = finger_base;
   config.aggregate_subclusters = aggregate;
   config.cache_cluster_owners = cache;
-  config.trace_queries = traced;
 
   const char letters[] = "abcde";
   const keyword::KeywordSpace space(
@@ -82,6 +81,8 @@ TwinWorld make_world(const Config& param, bool traced) {
   TwinWorld world;
   world.sampled = std::make_unique<SquidSystem>(space, config);
   world.bare = std::make_unique<SquidSystem>(space, config);
+  world.sampled->set_tracing(traced);
+  world.bare->set_tracing(traced);
 
   Rng rng_a(0xd1f ^ finger_base), rng_b(0xd1f ^ finger_base);
   world.sampled->build_network(35, rng_a);

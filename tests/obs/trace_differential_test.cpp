@@ -76,9 +76,8 @@ TracedWorld make_world(const Config& param) {
   const keyword::KeywordSpace space(
       {keyword::StringCodec(letters, 3), keyword::StringCodec(letters, 3)});
 
-  config.trace_queries = true;
   world.traced = std::make_unique<SquidSystem>(space, config);
-  config.trace_queries = false;
+  world.traced->set_tracing(true);
   world.plain = std::make_unique<SquidSystem>(space, config);
 
   // Both systems see the exact same network and data: separate rng
@@ -186,13 +185,10 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(TraceLifecycle, PointQueriesCarryARouteAndAScan) {
   if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
-  SquidConfig config;
-  config.trace_queries = true;
   const char letters[] = "abcde";
-  SquidSystem sys(
-      keyword::KeywordSpace(
-          {keyword::StringCodec(letters, 3), keyword::StringCodec(letters, 3)}),
-      config);
+  SquidSystem sys(keyword::KeywordSpace({keyword::StringCodec(letters, 3),
+                                         keyword::StringCodec(letters, 3)}));
+  sys.set_tracing(true);
   Rng rng(42);
   sys.build_network(35, rng);
   sys.publish(DataElement{"hit", {"abc", "de"}});

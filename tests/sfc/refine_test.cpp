@@ -85,51 +85,61 @@ TEST_P(RefinerOracle, SegmentsAreSortedDisjointAndMaximal) {
   }
 }
 
+/// Brute-force relation of one tree node's cell to `rect`: count the cell's
+/// indices whose points fall inside.
+CellRelation oracle_relation(const Curve& curve, const ClusterRefiner& refiner,
+                             const ClusterNode& node, const Rect& rect) {
+  const Segment seg = refiner.segment_of(node);
+  u128 inside = 0;
+  for (u128 h = seg.lo; h <= seg.hi; ++h)
+    inside += rect.contains(curve.point_of(h)) ? 1 : 0;
+  if (inside == 0) return CellRelation::disjoint;
+  return inside == seg.length() ? CellRelation::covered
+                                : CellRelation::partial;
+}
+
+// The engine classifies a work item by seeking the cursor to it and asking
+// relation_to; every node of the tree must agree with brute force.
 TEST_P(RefinerOracle, ClassifyMatchesBruteForce) {
   Rng rng(33);
+  RefineCursor cursor(*curve_);
   for (int q = 0; q < 30; ++q) {
     const Rect rect = random_rect(rng, curve_->dims(), curve_->max_coord());
     for (unsigned level = 0; level <= curve_->bits_per_dim(); ++level) {
       const u128 prefixes = static_cast<u128>(1) << (level * curve_->dims());
       for (u128 p = 0; p < prefixes; ++p) {
         const ClusterNode node{p, level};
-        const Segment seg = refiner_->segment_of(node);
-        std::size_t inside = 0;
-        for (u128 h = seg.lo; h <= seg.hi; ++h)
-          inside += rect.contains(curve_->point_of(h));
-        const auto rel = refiner_->classify(node, rect);
-        const u128 seg_len = seg.length();
-        if (inside == 0) {
-          ASSERT_EQ(rel, ClusterRefiner::CellRelation::disjoint);
-        } else if (static_cast<u128>(inside) == seg_len) {
-          ASSERT_EQ(rel, ClusterRefiner::CellRelation::covered);
-        } else {
-          ASSERT_EQ(rel, ClusterRefiner::CellRelation::partial);
-        }
+        cursor.seek(node.prefix, node.level);
+        ASSERT_EQ(cursor.relation_to(rect),
+                  oracle_relation(*curve_, *refiner_, node, rect));
       }
     }
   }
 }
 
+// The engine refines a partial cell by classifying its children in digit
+// order without descending (classify_child), keeping the non-disjoint ones.
+// Walking the first spine: every child's relation matches brute force, and
+// the kept children's segments come out ascending, i.e. in curve order.
 TEST_P(RefinerOracle, RefineReturnsIntersectingChildrenInCurveOrder) {
   Rng rng(34);
+  RefineCursor cursor(*curve_);
+  const unsigned dims = curve_->dims();
   for (int q = 0; q < 30; ++q) {
-    const Rect rect = random_rect(rng, curve_->dims(), curve_->max_coord());
+    const Rect rect = random_rect(rng, dims, curve_->max_coord());
     for (unsigned level = 0; level < curve_->bits_per_dim(); ++level) {
       const ClusterNode node{0, level}; // walk the first spine
-      const auto children = refiner_->refine(node, rect);
-      u128 prev = 0;
-      bool first = true;
-      for (const auto& child : children) {
-        EXPECT_EQ(child.level, level + 1);
-        if (!first) {
-          EXPECT_GT(child.prefix, prev);
-        }
-        prev = child.prefix;
-        first = false;
-        EXPECT_NE(refiner_->classify(child, rect),
-                  ClusterRefiner::CellRelation::disjoint);
+      cursor.seek(node.prefix, node.level);
+      std::vector<ClusterNode> children;
+      for (u128 w = 0; w < cursor.fanout(); ++w) {
+        const ClusterNode child{(node.prefix << dims) | w, level + 1};
+        const CellRelation rel = cursor.classify_child(w, rect);
+        ASSERT_EQ(rel, oracle_relation(*curve_, *refiner_, child, rect));
+        if (rel != CellRelation::disjoint) children.push_back(child);
       }
+      for (std::size_t i = 1; i < children.size(); ++i)
+        EXPECT_GT(refiner_->segment_of(children[i]).lo,
+                  refiner_->segment_of(children[i - 1]).hi);
     }
   }
 }
