@@ -447,10 +447,6 @@ private:
       const std::vector<std::pair<u128, sfc::ClusterNode>>& clusters,
       std::int32_t event, std::int32_t span) const;
 
-  /// Rank of the first stored key strictly greater than `v` (== the number
-  /// of keys <= v): the primitive behind every load probe and split point.
-  std::size_t key_rank_after(u128 v) const;
-
   // --- Hot-cluster replica cache internals ----------------------------------
   struct ReplicaEntry {
     std::uint64_t id = 0;              ///< cache key, stamped at install

@@ -145,14 +145,48 @@ public:
     return true;
   }
 
-  /// Bulk load: fold the tiers, then hand the (now complete) base arrays to
-  /// `fn` for in-place rebuilding — publish_batch's O((K+E)·log E)
-  /// sort-merge loader runs here instead of going through obtain() per key.
+  /// Bulk rewrite: fold the tiers, then hand the (now complete) base arrays
+  /// to `fn` for in-place rebuilding (insert_sorted and the ring's
+  /// repair_all run here instead of going through obtain() per key).
   /// `fn` must leave the arrays sorted, duplicate-free, and parallel.
   template <class Fn>
   void bulk_update(Fn&& fn) {
     merge();
     fn(base_index_, base_data_);
+  }
+
+  /// Sorted batch insert in one O(K + n) pass: fold the tiers, then merge
+  /// the n keys key_of(0), ..., key_of(n - 1) (ascending, repeats allowed)
+  /// into the base, calling fill(i, payload) in order of i with the slot of
+  /// key_of(i): the stored payload, or a default-constructed one for a new
+  /// key. publish_batch and ChordRing::build load through here.
+  template <class KeyOf, class Fill>
+  void insert_sorted(std::size_t n, KeyOf&& key_of, Fill&& fill) {
+    bulk_update([&](std::vector<u128>& index, std::vector<Payload>& data) {
+      std::vector<u128> merged_index;
+      std::vector<Payload> merged_data;
+      merged_index.reserve(index.size() + n);
+      merged_data.reserve(index.size() + n);
+      std::size_t old = 0;
+      const auto take_old = [&] {
+        merged_index.push_back(index[old]);
+        merged_data.push_back(std::move(data[old++]));
+      };
+      for (std::size_t i = 0; i < n;) {
+        const u128 key = key_of(i);
+        while (old < index.size() && index[old] < key) take_old();
+        if (old < index.size() && index[old] == key) {
+          take_old();
+        } else {
+          merged_index.push_back(key);
+          merged_data.emplace_back();
+        }
+        for (; i < n && key_of(i) == key; ++i) fill(i, merged_data.back());
+      }
+      while (old < index.size()) take_old();
+      index = std::move(merged_index);
+      data = std::move(merged_data);
+    });
   }
 
   /// Fold delta + tombstones into the base tier now (bulk_update calls

@@ -125,46 +125,15 @@ void SquidSystem::publish_batch(const std::vector<DataElement>& elements) {
   std::sort(order.begin(), order.end());
 
   std::size_t added = 0; // elements that were NEW, not last-write-wins hits
-  const auto merge_batch = [&](std::vector<u128>& key_index,
-                               std::vector<StoredKey>& key_data) {
-    std::vector<u128> merged_index;
-    std::vector<StoredKey> merged_data;
-    merged_index.reserve(key_index.size() + elements.size());
-    merged_data.reserve(key_index.size() + elements.size());
-
-    std::size_t old = 0; // cursor over the existing store
-    std::size_t i = 0;   // cursor over the sorted batch
-    while (i < order.size()) {
-      const u128 index = order[i].first;
-      while (old < key_index.size() && key_index[old] < index) {
-        merged_index.push_back(key_index[old]);
-        merged_data.push_back(std::move(key_data[old]));
-        ++old;
-      }
-      if (old < key_index.size() && key_index[old] == index) {
-        merged_index.push_back(key_index[old]);
-        merged_data.push_back(std::move(key_data[old]));
-        ++old;
-      } else {
-        StoredKey key;
-        key.point = space_.encode(elements[order[i].second].keys);
-        merged_index.push_back(index);
-        merged_data.push_back(std::move(key));
-      }
-      for (; i < order.size() && order[i].first == index; ++i)
-        if (place_element(merged_data.back().elements,
-                          elements[order[i].second]))
-          ++added;
-    }
-    while (old < key_index.size()) {
-      merged_index.push_back(key_index[old]);
-      merged_data.push_back(std::move(key_data[old]));
-      ++old;
-    }
-    key_index = std::move(merged_index);
-    key_data = std::move(merged_data);
-  };
-  mutate_store([&] { store_.bulk_update(merge_batch); });
+  mutate_store([&] {
+    store_.insert_sorted(
+        order.size(), [&](std::size_t i) { return order[i].first; },
+        [&](std::size_t i, StoredKey& key) {
+          const DataElement& element = elements[order[i].second];
+          if (key.elements.empty()) key.point = space_.encode(element.keys);
+          if (place_element(key.elements, element)) ++added;
+        });
+  });
   element_count_ += added;
   if (!replica_cache_.empty()) {
     std::vector<u128> touched;
@@ -310,16 +279,12 @@ void SquidSystem::invalidate_replicas(std::span<const u128> touched) {
   }
 }
 
-std::size_t SquidSystem::key_rank_after(u128 v) const {
-  return store_.rank_after(v);
-}
-
 std::size_t SquidSystem::keys_in_range(NodeId from, NodeId to) const {
   // Stored keys with index in the clockwise interval (from, to].
   if (store_.empty()) return 0;
-  if (from < to) return key_rank_after(to) - key_rank_after(from);
+  if (from < to) return store_.rank_after(to) - store_.rank_after(from);
   // Wrapped (or from == to: the whole ring).
-  return (store_.size() - key_rank_after(from)) + key_rank_after(to);
+  return (store_.size() - store_.rank_after(from)) + store_.rank_after(to);
 }
 
 std::optional<SquidSystem::NodeId> SquidSystem::median_split_id(
@@ -331,7 +296,7 @@ std::optional<SquidSystem::NodeId> SquidSystem::median_split_id(
   if (count < 2) return std::nullopt;
   // The median of the count keys in (pred, s]: a rank query plus one order
   // statistic, where the map walked the interval key by key.
-  const std::size_t start = key_rank_after(pred); // first key > pred
+  const std::size_t start = store_.rank_after(pred); // first key > pred
   const NodeId boundary = store_.kth((start + count / 2 - 1) % store_.size());
   if (boundary == pred || boundary == s || ring_.contains(boundary))
     return std::nullopt;
@@ -371,7 +336,7 @@ std::size_t SquidSystem::runtime_balance_sweep(double threshold) {
   std::size_t moves = 0;
   // The k-th key clockwise after `after` (k >= 1), wrapping.
   const auto kth_key_after = [this](NodeId after, std::size_t k) {
-    return store_.kth((key_rank_after(after) + k - 1) % store_.size());
+    return store_.kth((store_.rank_after(after) + k - 1) % store_.size());
   };
   // Walk a snapshot of the ring; each step may move the *predecessor* of
   // the node under consideration, which never invalidates later snapshot

@@ -265,26 +265,9 @@ void ChordRing::build(std::size_t count, Rng& rng) {
     }
   }
   std::sort(fresh.begin(), fresh.end());
-  members_.bulk_update([&](std::vector<NodeId>& ids,
-                           std::vector<ChordNode>& nodes) {
-    std::vector<NodeId> merged_ids;
-    std::vector<ChordNode> merged_nodes;
-    merged_ids.reserve(ids.size() + fresh.size());
-    merged_nodes.reserve(ids.size() + fresh.size());
-    std::size_t old = 0;
-    const auto take_old = [&] {
-      merged_ids.push_back(ids[old]);
-      merged_nodes.push_back(std::move(nodes[old++]));
-    };
-    for (const NodeId id : fresh) {
-      while (old < ids.size() && ids[old] < id) take_old();
-      merged_ids.push_back(id);
-      merged_nodes.emplace_back().id = id;
-    }
-    while (old < ids.size()) take_old();
-    ids = std::move(merged_ids);
-    nodes = std::move(merged_nodes);
-  });
+  members_.insert_sorted(
+      fresh.size(), [&](std::size_t i) { return fresh[i]; },
+      [&](std::size_t i, ChordNode& node) { node.id = fresh[i]; });
   if constexpr (obs::kEnabled) RingMetrics::get().joins.add(fresh.size());
   repair_all();
 }

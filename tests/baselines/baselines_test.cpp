@@ -4,13 +4,12 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "squid/baselines/chord_oracle.hpp"
 #include "squid/baselines/flooding.hpp"
 #include "squid/baselines/inverted_index.hpp"
 #include "squid/core/system.hpp"
 #include "squid/workload/corpus.hpp"
+#include "support/differential.hpp"
 
 namespace squid::baselines {
 namespace {
@@ -34,10 +33,8 @@ World make_world(std::uint64_t seed, std::size_t nodes, std::size_t elements) {
 }
 
 std::size_t oracle_count(const World& world, const keyword::Query& q) {
-  std::size_t count = 0;
-  for (const auto& e : world.all)
-    count += world.sys->space().matches(q, e.keys);
-  return count;
+  return testing_support::oracle_names(world.sys->space(), world.all, q)
+      .size();
 }
 
 TEST(Flooding, UnboundedFloodIsCompleteButTouchesEveryone) {
@@ -86,13 +83,8 @@ TEST(CentralizedQuery, AgreesWithDistributedEngine) {
     const auto distributed = world.sys->query(q, origin);
     const auto centralized = world.sys->query_centralized(q, origin);
     EXPECT_EQ(centralized.stats.matches, distributed.stats.matches);
-    auto names = [](const std::vector<core::DataElement>& es) {
-      std::vector<std::string> ns;
-      for (const auto& e : es) ns.push_back(e.name);
-      std::sort(ns.begin(), ns.end());
-      return ns;
-    };
-    EXPECT_EQ(names(centralized.elements), names(distributed.elements));
+    EXPECT_EQ(testing_support::sorted_names(centralized.elements),
+              testing_support::sorted_names(distributed.elements));
   }
 }
 

@@ -13,14 +13,10 @@
 // The reply-path accounting rides the same lock: bytes_shipped and
 // reply_messages are sums of per-site/per-edge measured terms, so all
 // three modes must report identical values.
-//
-// Shard counts honor SQUID_PARALLEL_SHARDS like the parallel suite.
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -29,76 +25,34 @@
 #include "squid/core/parallel.hpp"
 #include "squid/core/system.hpp"
 #include "squid/sim/fault.hpp"
-#include "squid/util/rng.hpp"
+#include "support/differential.hpp"
 
 namespace squid::core {
 namespace {
 
-using Config = std::tuple<std::string, unsigned, bool, bool>;
-// curve, finger_base, aggregate_subclusters, cache
+using namespace testing_support;
 
-class AggregateDifferential : public ::testing::TestWithParam<Config> {};
+class AggregateDifferential : public ::testing::TestWithParam<EngineConfig> {};
 
-std::vector<unsigned> shard_counts() {
-  const char* env = std::getenv("SQUID_PARALLEL_SHARDS");
-  if (env == nullptr || *env == '\0') return {1, 2, 4};
-  std::vector<unsigned> out;
-  unsigned current = 0;
-  bool any = false;
-  for (const char* p = env;; ++p) {
-    if (*p >= '0' && *p <= '9') {
-      current = current * 10 + static_cast<unsigned>(*p - '0');
-      any = true;
-    } else {
-      if (any && current > 0) out.push_back(current);
-      current = 0;
-      any = false;
-      if (*p == '\0') break;
-    }
-  }
-  return out.empty() ? std::vector<unsigned>{1, 2, 4} : out;
-}
-
-struct TwinWorld {
-  std::unique_ptr<SquidSystem> live; ///< runs the aggregate pushdown
-  std::unique_ptr<SquidSystem> ref;  ///< runs ship-all element queries
-};
-
+/// live runs the aggregate pushdown, ref runs ship-all element queries.
 /// String keyword dim + numeric attribute dim: the numeric kinds (sum, min,
 /// max, top-k) need a NumericCodec payload to aggregate over.
-TwinWorld make_world(const Config& param) {
-  const auto& [curve, finger_base, aggregate, cache] = param;
-  SquidConfig config;
-  config.curve = curve;
-  config.finger_base = finger_base;
-  config.aggregate_subclusters = aggregate;
-  config.cache_cluster_owners = cache;
-
+TwinWorld make_world(const EngineConfig& engine) {
   const char letters[] = "abcde";
   const keyword::KeywordSpace space(
       {keyword::StringCodec(letters, 3),
        keyword::NumericCodec(0.0, 64.0, 6)});
-  TwinWorld world;
-  world.live = std::make_unique<SquidSystem>(space, config);
-  world.ref = std::make_unique<SquidSystem>(space, config);
-
-  Rng rng_a(0xa66 ^ finger_base), rng_b(0xa66 ^ finger_base);
-  world.live->build_network(35, rng_a);
-  world.ref->build_network(35, rng_b);
-
-  Rng rng(0xf01d);
-  for (int i = 0; i < 400; ++i) {
-    std::string word;
-    for (std::uint64_t j = rng.range(1, 3); j-- > 0;)
-      word.push_back(letters[rng.below(5)]);
-    // Values off the bucket grid, with deliberate collisions (below(96)/1.5)
-    // so top-k exercises its name tie-break through the real system.
-    const double value = static_cast<double>(rng.below(96)) / 1.5;
-    const DataElement e{"e" + std::to_string(i), {word, value}};
-    world.live->publish(e);
-    world.ref->publish(e);
-  }
-  return world;
+  return make_twin(space, config_of(engine), 35, 0xa66 ^ std::get<1>(engine),
+                   0xf01d, 400, [&letters](Rng& rng, std::size_t i) {
+                     std::string word = random_word(rng, letters);
+                     // Values off the bucket grid, with deliberate
+                     // collisions (below(96)/1.5) so top-k exercises its
+                     // name tie-break through the real system.
+                     const double value =
+                         static_cast<double>(rng.below(96)) / 1.5;
+                     return DataElement{"e" + std::to_string(i),
+                                        {std::move(word), value}};
+                   });
 }
 
 keyword::Query random_query(Rng& rng) {
@@ -237,7 +191,7 @@ TEST_P(AggregateDifferential, PushdownEqualsOriginFoldInEveryMode) {
     lockstep.push_back(std::move(agg));
   }
   ASSERT_GT(total_matches, 0u) << "degenerate corpus: no query matched";
-  for (unsigned shards : shard_counts()) {
+  for (const unsigned shards : kWorkerCounts) {
     ParallelOptions opts;
     opts.shards = shards;
     TwinWorld fresh = make_world(GetParam()); // cache-neutral twin
@@ -303,7 +257,7 @@ TEST_P(AggregateDifferential, PushdownEqualsOriginFoldUnderFaults) {
   }
   (void)any_incomplete; // plan probabilities make losses likely, not certain
 
-  for (unsigned shards : shard_counts()) {
+  for (const unsigned shards : kWorkerCounts) {
     ParallelOptions opts;
     opts.shards = shards;
     opts.faults = &plan;
@@ -318,23 +272,8 @@ TEST_P(AggregateDifferential, PushdownEqualsOriginFoldUnderFaults) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Configs, AggregateDifferential,
-    ::testing::Values(Config{"hilbert", 2, true, false},
-                      Config{"hilbert", 2, false, false},
-                      Config{"hilbert", 2, true, true},
-                      Config{"hilbert", 8, true, false},
-                      Config{"hilbert", 8, true, true},
-                      Config{"zorder", 2, true, false},
-                      Config{"zorder", 4, false, true},
-                      Config{"gray", 2, true, false},
-                      Config{"gray", 16, true, true}),
-    [](const auto& info) {
-      return std::get<0>(info.param) + "_b" +
-             std::to_string(std::get<1>(info.param)) +
-             (std::get<2>(info.param) ? "_agg" : "_noagg") +
-             (std::get<3>(info.param) ? "_cache" : "_nocache");
-    });
+INSTANTIATE_TEST_SUITE_P(Configs, AggregateDifferential,
+                         ::testing::ValuesIn(kEngineMatrix), config_name);
 
 // --- One spec per kind & spec validation ------------------------------------
 
@@ -346,7 +285,7 @@ AggregatePartial aggregate_of(const SquidSystem& sys, const keyword::Query& q,
 }
 
 TEST(AggregateApiTest, WrappersAgreeWithTheOracle) {
-  TwinWorld world = make_world(Config{"hilbert", 2, true, false});
+  TwinWorld world = make_world(kEngineMatrix.front());
   Rng rng(0xca11);
   const keyword::Query q = world.live->space().parse("(*, 0-64)");
   const overlay::NodeId origin = world.live->ring().random_node(rng);
@@ -392,7 +331,7 @@ TEST(AggregateApiTest, WrappersAgreeWithTheOracle) {
 }
 
 TEST(AggregateApiTest, EmptyMatchYieldsEmptyExtremes) {
-  TwinWorld world = make_world(Config{"hilbert", 2, true, false});
+  TwinWorld world = make_world(kEngineMatrix.front());
   Rng rng(0x3a);
   // Keyword "eee" paired with an impossible-to-miss range still matches
   // nothing if no element carries that exact keyword… use a range below
@@ -411,7 +350,7 @@ TEST(AggregateApiTest, EmptyMatchYieldsEmptyExtremes) {
 }
 
 TEST(AggregateApiTest, InvalidSpecsFailLoudly) {
-  TwinWorld world = make_world(Config{"hilbert", 2, true, false});
+  TwinWorld world = make_world(kEngineMatrix.front());
   Rng rng(0xbad);
   const keyword::Query q = world.live->space().parse("(*, *)");
   const overlay::NodeId origin = world.live->ring().random_node(rng);

@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -9,23 +7,12 @@
 #include "squid/core/system.hpp"
 #include "squid/sim/engine.hpp"
 #include "squid/workload/corpus.hpp"
+#include "support/differential.hpp"
 
 namespace squid::core {
 namespace {
 
-/// Shard counts for the query_parallel leg: SQUID_PARALLEL_SHARDS as a
-/// comma-separated list, default {1, 2}.
-std::vector<unsigned> shard_counts() {
-  const char* env = std::getenv("SQUID_PARALLEL_SHARDS");
-  std::vector<unsigned> out;
-  if (env != nullptr) {
-    std::istringstream in(env);
-    for (std::string item; std::getline(in, item, ',');)
-      if (const unsigned long n = std::strtoul(item.c_str(), nullptr, 10))
-        out.push_back(static_cast<unsigned>(n));
-  }
-  return out.empty() ? std::vector<unsigned>{1, 2} : out;
-}
+using testing_support::kWorkerCounts;
 
 /// The lockstep kCount pushdown's answer.
 std::uint64_t count_of(const SquidSystem& sys, const keyword::Query& q,
@@ -69,7 +56,7 @@ TEST(CountQuery, AgreesWithFullQueryAcrossForms) {
         << keyword::to_string(specs[i].query) << " [async]";
   }
 
-  for (const unsigned shards : shard_counts()) {
+  for (const unsigned shards : kWorkerCounts) {
     ParallelOptions opts;
     opts.shards = shards;
     const ParallelRun run = sys.query_parallel(specs, opts);

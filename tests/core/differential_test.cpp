@@ -5,79 +5,28 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
-#include <tuple>
 
 #include "squid/core/system.hpp"
-#include "squid/util/rng.hpp"
+#include "support/differential.hpp"
 
 namespace squid::core {
 namespace {
 
-using Config = std::tuple<std::string, unsigned, bool, bool>;
-// curve, finger_base, aggregate, cache
+using namespace testing_support;
 
-class EngineDifferential : public ::testing::TestWithParam<Config> {};
-
-std::vector<std::string> sorted_names(const std::vector<DataElement>& es) {
-  std::vector<std::string> names;
-  for (const auto& e : es) names.push_back(e.name);
-  std::sort(names.begin(), names.end());
-  return names;
-}
+class EngineDifferential : public ::testing::TestWithParam<EngineConfig> {};
 
 TEST_P(EngineDifferential, AllResolutionPathsAgree) {
-  const auto& [curve, finger_base, aggregate, cache] = GetParam();
-  SquidConfig config;
-  config.curve = curve;
-  config.finger_base = finger_base;
-  config.aggregate_subclusters = aggregate;
-  config.cache_cluster_owners = cache;
-
-  Rng rng(0xd1ff ^ finger_base);
-  const char letters[] = "abcde";
-  SquidSystem sys(
-      keyword::KeywordSpace(
-          {keyword::StringCodec(letters, 3), keyword::StringCodec(letters, 3)}),
-      config);
-  sys.build_network(35, rng);
-
-  std::vector<DataElement> all;
-  for (int i = 0; i < 400; ++i) {
-    std::string a, b;
-    for (std::uint64_t j = rng.range(1, 3); j-- > 0;)
-      a.push_back(letters[rng.below(5)]);
-    for (std::uint64_t j = rng.range(1, 3); j-- > 0;)
-      b.push_back(letters[rng.below(5)]);
-    all.push_back(DataElement{"e" + std::to_string(i), {a, b}});
-    sys.publish(all.back());
-  }
+  // Network, corpus and queries share one stream.
+  Rng rng(0xd1ff ^ std::get<1>(GetParam()));
+  const LetterWorld world = make_letter_world(rng, {}, config_of(GetParam()));
+  const SquidSystem& sys = *world.sys;
 
   for (int trial = 0; trial < 40; ++trial) {
-    // Random query: each dimension whole / prefix / any.
-    keyword::Query q;
-    for (int dim = 0; dim < 2; ++dim) {
-      const auto kind = rng.below(3);
-      if (kind == 0) {
-        q.terms.push_back(keyword::Any{});
-      } else {
-        std::string w;
-        for (std::uint64_t j = rng.range(1, 3); j-- > 0;)
-          w.push_back(letters[rng.below(5)]);
-        if (kind == 1) {
-          q.terms.push_back(keyword::Whole{w});
-        } else {
-          q.terms.push_back(keyword::Prefix{w});
-        }
-      }
-    }
-
-    std::vector<std::string> expected;
-    for (const auto& e : all)
-      if (sys.space().matches(q, e.keys)) expected.push_back(e.name);
-    std::sort(expected.begin(), expected.end());
-
+    const keyword::Query q = random_letter_query(rng);
+    const std::vector<std::string> expected =
+        oracle_names(sys.space(), world.all, q);
     const auto origin = sys.ring().random_node(rng);
     const auto distributed = sys.query(q, origin);
     ASSERT_EQ(sorted_names(distributed.elements), expected)
@@ -88,23 +37,8 @@ TEST_P(EngineDifferential, AllResolutionPathsAgree) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Configs, EngineDifferential,
-    ::testing::Values(Config{"hilbert", 2, true, false},
-                      Config{"hilbert", 2, false, false},
-                      Config{"hilbert", 2, true, true},
-                      Config{"hilbert", 8, true, false},
-                      Config{"hilbert", 8, true, true},
-                      Config{"zorder", 2, true, false},
-                      Config{"zorder", 4, false, true},
-                      Config{"gray", 2, true, false},
-                      Config{"gray", 16, true, true}),
-    [](const auto& info) {
-      return std::get<0>(info.param) + "_b" +
-             std::to_string(std::get<1>(info.param)) +
-             (std::get<2>(info.param) ? "_agg" : "_noagg") +
-             (std::get<3>(info.param) ? "_cache" : "_nocache");
-    });
+INSTANTIATE_TEST_SUITE_P(Configs, EngineDifferential,
+                         ::testing::ValuesIn(kEngineMatrix), config_name);
 
 } // namespace
 } // namespace squid::core

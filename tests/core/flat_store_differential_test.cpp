@@ -14,26 +14,20 @@
 
 #include "squid/core/system.hpp"
 #include "squid/util/rng.hpp"
+#include "support/differential.hpp"
 
 namespace squid::core {
 namespace {
 
 using overlay::NodeId;
 
-const char kLetters[] = "abcde";
-
 keyword::KeywordSpace two_dim_space() {
-  return keyword::KeywordSpace(
-      {keyword::StringCodec(kLetters, 3), keyword::StringCodec(kLetters, 3)});
+  return testing_support::letter_space("abcde");
 }
 
 DataElement random_element(Rng& rng, int serial) {
-  std::string a, b;
-  for (std::uint64_t j = rng.range(1, 3); j-- > 0;)
-    a.push_back(kLetters[rng.below(5)]);
-  for (std::uint64_t j = rng.range(1, 3); j-- > 0;)
-    b.push_back(kLetters[rng.below(5)]);
-  return DataElement{"e" + std::to_string(serial), {a, b}};
+  return testing_support::random_letter_element(rng, "abcde",
+                                                "e" + std::to_string(serial));
 }
 
 u128 index_of(const SquidSystem& sys, const DataElement& e) {

@@ -9,78 +9,47 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "squid/core/system.hpp"
-#include "squid/obs/metrics.hpp"
 #include "squid/obs/trace.hpp"
 #include "squid/sim/engine.hpp"
-#include "squid/util/rng.hpp"
+#include "support/differential.hpp"
 
 namespace squid::core {
 namespace {
 
+using namespace testing_support;
+
 struct World {
-  SquidSystem sys;
+  std::unique_ptr<SquidSystem> sys;
   std::vector<keyword::Query> queries;
   std::vector<overlay::NodeId> origins;
 };
 
 World make_world(bool traced) {
-  const char letters[] = "abcde";
-  World world{SquidSystem(keyword::KeywordSpace(
-                  {keyword::StringCodec(letters, 3),
-                   keyword::StringCodec(letters, 3)})),
-              {},
-              {}};
-  world.sys.set_tracing(traced);
   Rng rng(0xa57c);
-  world.sys.build_network(40, rng);
-  for (int i = 0; i < 500; ++i) {
-    std::string a, b;
-    for (std::uint64_t j = rng.range(1, 3); j-- > 0;)
-      a.push_back(letters[rng.below(5)]);
-    for (std::uint64_t j = rng.range(1, 3); j-- > 0;)
-      b.push_back(letters[rng.below(5)]);
-    world.sys.publish(DataElement{"e" + std::to_string(i), {a, b}});
-  }
+  World world{make_letter_world(rng, {.nodes = 40, .elements = 500}).sys, {},
+              {}};
+  world.sys->set_tracing(traced);
   for (const char* text :
        {"a*, *", "*, b*", "ab, cd", "c*, d*", "*, *", "b*, a*", "de, *",
         "*, ce", "aa*, *", "*, bb*"}) {
-    world.queries.push_back(world.sys.space().parse(text));
-    world.origins.push_back(world.sys.ring().random_node(rng));
+    world.queries.push_back(world.sys->space().parse(text));
+    world.origins.push_back(world.sys->ring().random_node(rng));
   }
   return world;
-}
-
-std::vector<std::string> sorted_names(const QueryResult& r) {
-  std::vector<std::string> names;
-  for (const auto& e : r.elements) names.push_back(e.name);
-  std::sort(names.begin(), names.end());
-  return names;
 }
 
 void expect_same_answer(const QueryResult& async_r, const QueryResult& sync_r,
                         const std::string& context) {
   // Interleaving may reorder scan arrivals between queries, so compare the
   // element *set*; every aggregate must be bit-equal.
-  EXPECT_EQ(sorted_names(async_r), sorted_names(sync_r)) << context;
-  EXPECT_EQ(async_r.complete, sync_r.complete) << context;
-  EXPECT_EQ(async_r.stats.matches, sync_r.stats.matches) << context;
-  EXPECT_EQ(async_r.stats.routing_nodes, sync_r.stats.routing_nodes)
+  EXPECT_EQ(sorted_names(async_r.elements), sorted_names(sync_r.elements))
       << context;
-  EXPECT_EQ(async_r.stats.processing_nodes, sync_r.stats.processing_nodes)
-      << context;
-  EXPECT_EQ(async_r.stats.data_nodes, sync_r.stats.data_nodes) << context;
-  EXPECT_EQ(async_r.stats.messages, sync_r.stats.messages) << context;
-  EXPECT_EQ(async_r.stats.critical_path_hops,
-            sync_r.stats.critical_path_hops)
-      << context;
-  EXPECT_EQ(async_r.stats.retries, sync_r.stats.retries) << context;
-  EXPECT_EQ(async_r.stats.failed_clusters, sync_r.stats.failed_clusters)
-      << context;
+  expect_same_stats(async_r, sync_r, context);
 }
 
 TEST(InterleavedQueries, ConcurrentInFlightEqualsSequentialSync) {
@@ -88,13 +57,14 @@ TEST(InterleavedQueries, ConcurrentInFlightEqualsSequentialSync) {
 
   std::vector<QueryResult> sync_results;
   for (std::size_t i = 0; i < world.queries.size(); ++i)
-    sync_results.push_back(world.sys.query(world.queries[i], world.origins[i]));
+    sync_results.push_back(
+        world.sys->query(world.queries[i], world.origins[i]));
 
   sim::Engine engine;
   std::vector<QueryHandle> handles;
   for (std::size_t i = 0; i < world.queries.size(); ++i)
     handles.push_back(
-        world.sys.query_async(world.queries[i], world.origins[i], engine));
+        world.sys->query_async(world.queries[i], world.origins[i], engine));
   for (const QueryHandle& h : handles) {
     ASSERT_TRUE(h.valid());
     EXPECT_FALSE(h.ready()); // nothing delivers until the engine runs
@@ -112,7 +82,8 @@ TEST(InterleavedQueries, StaggeredLaunchesKeepEveryAnswerIdentical) {
 
   std::vector<QueryResult> sync_results;
   for (std::size_t i = 0; i < world.queries.size(); ++i)
-    sync_results.push_back(world.sys.query(world.queries[i], world.origins[i]));
+    sync_results.push_back(
+        world.sys->query(world.queries[i], world.origins[i]));
 
   // Launch query i at virtual time 3*i from inside the engine itself, so
   // later launches overlap earlier queries mid-flight.
@@ -121,7 +92,7 @@ TEST(InterleavedQueries, StaggeredLaunchesKeepEveryAnswerIdentical) {
   for (std::size_t i = 0; i < world.queries.size(); ++i) {
     engine.schedule(3 * i, [&world, &engine, &handles, i] {
       handles[i] =
-          world.sys.query_async(world.queries[i], world.origins[i], engine);
+          world.sys->query_async(world.queries[i], world.origins[i], engine);
     });
   }
   engine.run();
@@ -139,7 +110,7 @@ TEST(InterleavedQueries, CompletionTimeIsTheCriticalPath) {
   std::vector<QueryHandle> handles;
   for (std::size_t i = 0; i < world.queries.size(); ++i)
     handles.push_back(
-        world.sys.query_async(world.queries[i], world.origins[i], engine));
+        world.sys->query_async(world.queries[i], world.origins[i], engine));
   engine.run();
   for (std::size_t i = 0; i < handles.size(); ++i) {
     ASSERT_TRUE(handles[i].ready());
@@ -159,7 +130,7 @@ TEST(InterleavedQueries, AsyncQueriesCarryTracesToo) {
   std::vector<QueryHandle> handles;
   for (std::size_t i = 0; i < world.queries.size(); ++i)
     handles.push_back(
-        world.sys.query_async(world.queries[i], world.origins[i], engine));
+        world.sys->query_async(world.queries[i], world.origins[i], engine));
   engine.run();
   for (std::size_t i = 0; i < handles.size(); ++i) {
     ASSERT_TRUE(handles[i].ready());
@@ -177,7 +148,7 @@ TEST(InterleavedQueries, ResultsBeforeTheEngineRunsAreRefused) {
   World world = make_world(/*traced=*/false);
   sim::Engine engine;
   QueryHandle handle =
-      world.sys.query_async(world.queries[0], world.origins[0], engine);
+      world.sys->query_async(world.queries[0], world.origins[0], engine);
   EXPECT_TRUE(handle.valid());
   EXPECT_FALSE(handle.ready());
   EXPECT_THROW(handle.result(), std::invalid_argument);

@@ -5,13 +5,13 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "squid/core/system.hpp"
 #include "squid/stats/summary.hpp"
 #include "squid/util/rng.hpp"
+#include "support/differential.hpp"
 
 namespace squid::core {
 namespace {
@@ -136,16 +136,10 @@ TEST(LoadBalance, BalancingPreservesQueryCompleteness) {
 
   for (const std::string text : {"(comp*, *)", "(ne*, d*)", "(*, grid*)"}) {
     const keyword::Query q = sys.space().parse(text);
-    std::vector<std::string> expected;
-    for (const auto& e : corpus)
-      if (sys.space().matches(q, e.keys)) expected.push_back(e.name);
-    std::sort(expected.begin(), expected.end());
-
     const QueryResult result = sys.query(q, sys.ring().random_node(rng));
-    std::vector<std::string> got;
-    for (const auto& e : result.elements) got.push_back(e.name);
-    std::sort(got.begin(), got.end());
-    EXPECT_EQ(got, expected) << text;
+    EXPECT_EQ(testing_support::sorted_names(result.elements),
+              testing_support::oracle_names(sys.space(), corpus, q))
+        << text;
   }
 }
 

@@ -20,11 +20,11 @@
 #include <utility>
 #include <vector>
 
-#include "byte_mutator.hpp"
 #include "squid/core/messages.hpp"
 #include "squid/core/serialize.hpp"
 #include "squid/util/rng.hpp"
 #include "squid/util/u128.hpp"
+#include "support/byte_mutator.hpp"
 
 namespace squid::core {
 namespace {
@@ -514,36 +514,50 @@ TEST(MessageSerialize, GoldenFramesAreWrittenAndReadByteForByte) {
 }
 
 // --- Mutated frames ----------------------------------------------------------
-// Fixed-seed single-byte substitutions, insertions, deletions and
-// truncations of every golden frame. A mutant either decodes (it is still a
-// well-formed frame) or throws std::invalid_argument; any other exception —
-// std::out_of_range, std::length_error, std::bad_alloc, a variant or
-// optional access error — is a decoder bug.
+// Fixed-seed mutants of every golden frame: single-byte substitutions,
+// insertions, deletions and truncations, then multi-byte splices,
+// numeric-field rewrites and random-byte tails. A mutant either decodes (it
+// is still a well-formed frame) or throws std::invalid_argument; any other
+// exception — std::out_of_range, std::length_error, std::bad_alloc, a
+// variant or optional access error — is a decoder bug.
 
 TEST(MessageSerialize, MutatedGoldenFramesDecodeOrFailLoudly) {
   constexpr int kMutantsPerFrame = 2000;
-  Rng rng(0x6d757461);
+  constexpr int kMultiByteMutantsPerFrame = 3000;
   std::size_t rejected = 0;
+  const auto decode_or_reject = [&rejected](const msg::Message& message,
+                                            const std::string& mutant) {
+    try {
+      (void)decode(mutant);
+    } catch (const std::invalid_argument&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << msg::type_name(message) << " mutant threw "
+                    << typeid(e).name() << ": " << e.what() << "\n"
+                    << mutant;
+    } catch (...) {
+      ADD_FAILURE() << msg::type_name(message)
+                    << " mutant threw a non-std exception\n"
+                    << mutant;
+    }
+  };
+  Rng rng(0x6d757461);
   for (const msg::Message& message : golden_messages()) {
     const std::string frame = encode(message);
-    for (int i = 0; i < kMutantsPerFrame; ++i) {
-      const std::string mutant = testing_support::mutate_one_byte(frame, rng);
-      try {
-        (void)decode(mutant);
-      } catch (const std::invalid_argument&) {
-        ++rejected;
-      } catch (const std::exception& e) {
-        ADD_FAILURE() << msg::type_name(message) << " mutant threw "
-                      << typeid(e).name() << ": " << e.what() << "\n"
-                      << mutant;
-      } catch (...) {
-        ADD_FAILURE() << msg::type_name(message)
-                      << " mutant threw a non-std exception\n"
-                      << mutant;
-      }
+    for (int i = 0; i < kMutantsPerFrame; ++i)
+      decode_or_reject(message, testing_support::mutate_one_byte(frame, rng));
+  }
+  const std::size_t single_byte_rejected = rejected;
+  EXPECT_GT(single_byte_rejected, 0u); // the mutations reach the parsers
+  Rng multi_rng(0x6d756c74);
+  for (const msg::Message& message : golden_messages()) {
+    const std::string frame = encode(message);
+    for (int i = 0; i < kMultiByteMutantsPerFrame; ++i) {
+      decode_or_reject(message,
+                       testing_support::mutate_many_bytes(frame, multi_rng));
     }
   }
-  EXPECT_GT(rejected, 0u); // the mutations actually reach the parsers
+  EXPECT_GT(rejected, single_byte_rejected);
 }
 
 // --- Sizing = writing --------------------------------------------------------

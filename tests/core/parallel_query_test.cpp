@@ -17,35 +17,25 @@
 #include "squid/core/parallel.hpp"
 #include "squid/core/system.hpp"
 #include "squid/util/rng.hpp"
+#include "support/differential.hpp"
 
 namespace squid::core {
 namespace {
 
 using overlay::NodeId;
 
-const char kLetters[] = "abcde";
+using testing_support::LetterWorld;
 
-SquidSystem make_loaded_system(bool cache, Rng& rng) {
+LetterWorld make_loaded_world(bool cache, Rng& rng) {
   SquidConfig config;
   config.cache_cluster_owners = cache;
-  SquidSystem sys(keyword::KeywordSpace({keyword::StringCodec(kLetters, 3),
-                                         keyword::StringCodec(kLetters, 3)}),
-                  config);
-  sys.build_network(40, rng);
-  for (int i = 0; i < 400; ++i) {
-    std::string a, b;
-    for (std::uint64_t j = rng.range(1, 3); j-- > 0;)
-      a.push_back(kLetters[rng.below(5)]);
-    for (std::uint64_t j = rng.range(1, 3); j-- > 0;)
-      b.push_back(kLetters[rng.below(5)]);
-    sys.publish(DataElement{"e" + std::to_string(i), {a, b}});
-  }
-  return sys;
+  return testing_support::make_letter_world(rng, {.nodes = 40}, config);
 }
 
 TEST(ParallelQuery, ConcurrentReadersMatchSingleThreadedResults) {
   Rng rng(0xc0c0);
-  const SquidSystem sys = make_loaded_system(/*cache=*/false, rng);
+  const LetterWorld world = make_loaded_world(/*cache=*/false, rng);
+  const SquidSystem& sys = *world.sys;
 
   // Fixed workload: (query, origin) pairs with single-threaded reference
   // results, computed up front.
@@ -93,7 +83,8 @@ TEST(ParallelQuery, ConcurrentReadersMatchSingleThreadedResults) {
 
 TEST(ParallelQuery, CachedQueriesStillWorkSingleThreaded) {
   Rng rng(0xcafe);
-  const SquidSystem sys = make_loaded_system(/*cache=*/true, rng);
+  const LetterWorld world = make_loaded_world(/*cache=*/true, rng);
+  const SquidSystem& sys = *world.sys;
   const keyword::Query q = sys.space().parse("(a*, *)");
   const NodeId origin = sys.ring().random_node(rng);
   const QueryResult first = sys.query(q, origin);
@@ -112,7 +103,8 @@ TEST(ParallelQuery, GuardTripsWhenCachedQueryOverlaps) {
   // overlap is certain, and require at least one loud failure and zero
   // silent ones. (With the guard, every overlapping call throws.)
   Rng rng(0xdead);
-  const SquidSystem sys = make_loaded_system(/*cache=*/true, rng);
+  const LetterWorld world = make_loaded_world(/*cache=*/true, rng);
+  const SquidSystem& sys = *world.sys;
   const keyword::Query q = sys.space().parse("(*, *)");
   const NodeId origin = sys.ring().random_node(rng);
 
@@ -160,7 +152,8 @@ TEST(ParallelQuery, MalformedQueryThrowsOnCallerThread) {
   // throw on the caller's thread before any shard worker starts (a throw
   // on a worker would terminate the process).
   Rng rng(0xbad);
-  const SquidSystem sys = make_loaded_system(/*cache=*/false, rng);
+  const LetterWorld world = make_loaded_world(/*cache=*/false, rng);
+  const SquidSystem& sys = *world.sys;
   keyword::Query q = sys.space().parse("(a*, *)");
   q.terms.push_back(q.terms.front());
   const NodeId origin = sys.ring().random_node(rng);

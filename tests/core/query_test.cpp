@@ -6,145 +6,95 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "squid/core/system.hpp"
-#include "squid/util/rng.hpp"
+#include "support/differential.hpp"
 
 namespace squid::core {
 namespace {
 
-std::vector<std::string> sorted_names(const std::vector<DataElement>& elems) {
-  std::vector<std::string> names;
-  names.reserve(elems.size());
-  for (const auto& e : elems) names.push_back(e.name);
-  std::sort(names.begin(), names.end());
-  return names;
-}
+using namespace testing_support;
 
-/// Oracle: match every published element directly against the query
-/// rectangle semantics.
-std::vector<std::string> oracle_names(const keyword::KeywordSpace& space,
-                                      const std::vector<DataElement>& all,
-                                      const keyword::Query& q) {
-  std::vector<std::string> names;
-  for (const auto& e : all)
-    if (space.matches(q, e.keys)) names.push_back(e.name);
-  std::sort(names.begin(), names.end());
-  return names;
-}
-
-struct Corpus {
-  SquidSystem sys;
-  std::vector<DataElement> all;
-};
-
-Corpus make_doc_corpus(std::uint64_t seed, std::size_t nodes,
-                       std::size_t elements, SquidConfig config = {}) {
-  Corpus corpus{
-      SquidSystem(keyword::KeywordSpace({keyword::StringCodec("abcd", 3),
-                                         keyword::StringCodec("abcd", 3)}),
-                  std::move(config)),
-      {}};
+LetterWorld make_doc_corpus(std::uint64_t seed, std::size_t nodes,
+                            std::size_t elements, SquidConfig config = {}) {
   Rng rng(seed);
-  corpus.sys.build_network(nodes, rng);
-  const char letters[] = "abcd";
-  for (std::size_t i = 0; i < elements; ++i) {
-    std::string a, b;
-    for (std::uint64_t j = rng.range(1, 3); j-- > 0;)
-      a.push_back(letters[rng.below(4)]);
-    for (std::uint64_t j = rng.range(1, 3); j-- > 0;)
-      b.push_back(letters[rng.below(4)]);
-    corpus.all.push_back(
-        DataElement{"doc" + std::to_string(i), {a, b}});
-    corpus.sys.publish(corpus.all.back());
-  }
-  return corpus;
+  return make_letter_world(rng,
+                           {.letters = "abcd",
+                            .nodes = nodes,
+                            .elements = elements,
+                            .name = "doc"},
+                           std::move(config));
 }
 
-void check_query(const Corpus& corpus, const std::string& text, Rng& rng) {
-  const keyword::Query q = corpus.sys.space().parse(text);
-  const auto origin = corpus.sys.ring().random_node(rng);
-  const QueryResult result = corpus.sys.query(q, origin);
+void check_query(const LetterWorld& corpus, const keyword::Query& q,
+                 Rng& rng) {
+  const SquidSystem& sys = *corpus.sys;
+  const auto origin = sys.ring().random_node(rng);
+  const QueryResult result = sys.query(q, origin);
   EXPECT_EQ(sorted_names(result.elements),
-            oracle_names(corpus.sys.space(), corpus.all, q))
-      << "query " << text;
+            oracle_names(sys.space(), corpus.all, q))
+      << "query " << keyword::to_string(q);
   // Cost-accounting invariants.
   const auto& s = result.stats;
   EXPECT_EQ(s.matches, result.elements.size());
   EXPECT_LE(s.data_nodes, s.processing_nodes);
   EXPECT_LE(s.processing_nodes, s.routing_nodes);
-  EXPECT_LE(s.routing_nodes, corpus.sys.ring().size());
+  EXPECT_LE(s.routing_nodes, sys.ring().size());
   if (s.matches > 0) {
     EXPECT_GE(s.data_nodes, 1u);
   }
 }
 
 TEST(QueryEngine, CompletenessAcrossAllQueryForms) {
-  Corpus corpus = make_doc_corpus(11, 40, 400);
+  const LetterWorld corpus = make_doc_corpus(11, 40, 400);
   Rng rng(12);
   const std::vector<std::string> queries{
       "(a, b)",    "(ab, *)",    "(*, cd)",   "(a*, *)",   "(*, a*)",
       "(ab*, c*)", "(c*, d*)",   "(*, *)",    "(dcb, a)",  "(b*, bcd)",
       "(aaa, *)",  "(d*, *)",    "(a*, b*)",  "(abc, bcd)"};
-  for (const auto& text : queries) check_query(corpus, text, rng);
+  for (const auto& text : queries)
+    check_query(corpus, corpus.sys->space().parse(text), rng);
 }
 
 TEST(QueryEngine, CompletenessFromEveryOrigin) {
-  Corpus corpus = make_doc_corpus(13, 20, 150);
-  const keyword::Query q = corpus.sys.space().parse("(b*, *)");
-  const auto expected = oracle_names(corpus.sys.space(), corpus.all, q);
-  for (const auto origin : corpus.sys.ring().node_ids()) {
-    const QueryResult result = corpus.sys.query(q, origin);
+  const LetterWorld corpus = make_doc_corpus(13, 20, 150);
+  const keyword::Query q = corpus.sys->space().parse("(b*, *)");
+  const auto expected = oracle_names(corpus.sys->space(), corpus.all, q);
+  for (const auto origin : corpus.sys->ring().node_ids()) {
+    const QueryResult result = corpus.sys->query(q, origin);
     EXPECT_EQ(sorted_names(result.elements), expected);
   }
 }
 
 TEST(QueryEngine, RandomizedQueriesAgainstOracle) {
-  Corpus corpus = make_doc_corpus(17, 60, 500);
+  const LetterWorld corpus = make_doc_corpus(17, 60, 500);
   Rng rng(18);
-  const char letters[] = "abcd";
-  for (int trial = 0; trial < 150; ++trial) {
-    std::string text = "(";
-    for (int dim = 0; dim < 2; ++dim) {
-      if (dim) text += ", ";
-      const auto kind = rng.below(3);
-      if (kind == 0) {
-        text += "*";
-      } else {
-        std::string word;
-        for (std::uint64_t j = rng.range(1, 3); j-- > 0;)
-          word.push_back(letters[rng.below(4)]);
-        text += word;
-        if (kind == 2) text += "*";
-      }
-    }
-    text += ")";
-    check_query(corpus, text, rng);
-  }
+  for (int trial = 0; trial < 150; ++trial)
+    check_query(corpus, random_letter_query(rng, "abcd"), rng);
 }
 
 TEST(QueryEngine, ExactKeyQueryIsAPointLookup) {
-  Corpus corpus = make_doc_corpus(19, 40, 300);
+  const LetterWorld corpus = make_doc_corpus(19, 40, 300);
   Rng rng(20);
   // A fully specified query maps to at most one index -> at most one data
   // node, and the message count stays O(1) (one dispatch plus its reply).
   const QueryResult result =
-      corpus.sys.query(corpus.sys.space().parse("(abc, bcd)"),
-                       corpus.sys.ring().random_node(rng));
+      corpus.sys->query(corpus.sys->space().parse("(abc, bcd)"),
+                        corpus.sys->ring().random_node(rng));
   EXPECT_LE(result.stats.data_nodes, 1u);
   EXPECT_LE(result.stats.messages, 3u);
   EXPECT_LE(result.stats.processing_nodes, 2u);
 }
 
 TEST(QueryEngine, EmptyResultQueriesTerminateCleanly) {
-  Corpus corpus = make_doc_corpus(21, 30, 100);
+  const LetterWorld corpus = make_doc_corpus(21, 30, 100);
   Rng rng(22);
   // "dddd..." truncates to "ddd" (max_len 3): legal but never published.
-  const QueryResult result = corpus.sys.query(
-      corpus.sys.space().parse("(ddd, ddd)"), corpus.sys.ring().random_node(rng));
+  const QueryResult result =
+      corpus.sys->query(corpus.sys->space().parse("(ddd, ddd)"),
+                        corpus.sys->ring().random_node(rng));
   EXPECT_EQ(result.stats.matches, 0u);
   EXPECT_EQ(result.stats.data_nodes, 0u);
 }
@@ -210,20 +160,17 @@ TEST(QueryEngine, NumericRangeQueriesAgainstOracle) {
   for (const auto& text : queries) {
     const keyword::Query q = sys.space().parse(text);
     const QueryResult result = sys.query(q, sys.ring().random_node(rng));
-    std::vector<std::string> expected;
-    for (const auto& e : all)
-      if (sys.space().matches(q, e.keys)) expected.push_back(e.name);
-    std::sort(expected.begin(), expected.end());
-    EXPECT_EQ(sorted_names(result.elements), expected) << text;
+    EXPECT_EQ(sorted_names(result.elements), oracle_names(sys.space(), all, q))
+        << text;
   }
 }
 
 TEST(QueryEngine, QueriesAreRepeatable) {
-  Corpus corpus = make_doc_corpus(26, 30, 200);
-  const auto origin = corpus.sys.ring().node_ids().front();
-  const keyword::Query q = corpus.sys.space().parse("(c*, *)");
-  const QueryResult a = corpus.sys.query(q, origin);
-  const QueryResult b = corpus.sys.query(q, origin);
+  const LetterWorld corpus = make_doc_corpus(26, 30, 200);
+  const auto origin = corpus.sys->ring().node_ids().front();
+  const keyword::Query q = corpus.sys->space().parse("(c*, *)");
+  const QueryResult a = corpus.sys->query(q, origin);
+  const QueryResult b = corpus.sys->query(q, origin);
   EXPECT_EQ(sorted_names(a.elements), sorted_names(b.elements));
   EXPECT_EQ(a.stats.messages, b.stats.messages);
   EXPECT_EQ(a.stats.processing_nodes, b.stats.processing_nodes);
@@ -253,11 +200,8 @@ TEST(QueryEngine, CompletenessOnLargerRealisticSpace) {
        {"(comp*, *)", "(c*, n*)", "(grid, *)", "(p*, *)", "(*, da*)"}) {
     const keyword::Query q = sys.space().parse(text);
     const QueryResult result = sys.query(q, sys.ring().random_node(rng));
-    std::vector<std::string> expected;
-    for (const auto& e : all)
-      if (sys.space().matches(q, e.keys)) expected.push_back(e.name);
-    std::sort(expected.begin(), expected.end());
-    EXPECT_EQ(sorted_names(result.elements), expected) << text;
+    EXPECT_EQ(sorted_names(result.elements), oracle_names(sys.space(), all, q))
+        << text;
     // The paper's scalability claim: only a fraction of nodes process a
     // query.
     EXPECT_LT(result.stats.processing_nodes, sys.ring().size() / 2) << text;

@@ -27,9 +27,13 @@
 #include "squid/sim/fault.hpp"
 #include "squid/util/rng.hpp"
 #include "squid/workload/corpus.hpp"
+#include "support/differential.hpp"
 
 namespace squid::core {
 namespace {
+
+using testing_support::kWorkerCounts;
+using testing_support::random_word;
 
 struct World {
   std::unique_ptr<workload::KeywordCorpus> corpus;
@@ -307,15 +311,10 @@ TEST(ReplicaInvalidation, ServedAnswersEqualRoutedAnswers) {
                                          keyword::NumericCodec(0.0, 64.0, 6)}));
   Rng rng(0x71);
   sys.build_network(40, rng);
-  const auto word = [&] {
-    std::string w;
-    for (std::uint64_t j = rng.range(1, 3); j-- > 0;)
-      w.push_back(letters[rng.below(5)]);
-    return w;
-  };
   for (int i = 0; i < 600; ++i) {
     const double value = static_cast<double>(rng.below(96)) / 1.5;
-    sys.publish(DataElement{"e" + std::to_string(i), {word(), value}});
+    sys.publish(DataElement{"e" + std::to_string(i),
+                            {random_word(rng, letters), value}});
   }
 
   std::vector<keyword::Query> queries;
@@ -324,9 +323,9 @@ TEST(ReplicaInvalidation, ServedAnswersEqualRoutedAnswers) {
     if (i % 3 == 0) {
       q.terms.push_back(keyword::Any{});
     } else if (i % 3 == 1) {
-      q.terms.push_back(keyword::Prefix{word()});
+      q.terms.push_back(keyword::Prefix{random_word(rng, letters)});
     } else {
-      q.terms.push_back(keyword::Whole{word()});
+      q.terms.push_back(keyword::Whole{random_word(rng, letters)});
     }
     const double lo = static_cast<double>(rng.below(48));
     q.terms.push_back(
@@ -379,8 +378,9 @@ TEST(ReplicaInvalidation, ServedAnswersEqualRoutedAnswers) {
   std::uint64_t entry = install_root_entry(sys, host_rng, 3);
   std::vector<DataElement> fresh;
   for (int i = 0; i < 20; ++i)
-    fresh.push_back(DataElement{"fresh" + std::to_string(i),
-                                {word(), static_cast<double>(i)}});
+    fresh.push_back(
+        DataElement{"fresh" + std::to_string(i),
+                    {random_word(rng, letters), static_cast<double>(i)}});
   sys.publish_batch(fresh);
   EXPECT_FALSE(sys.replica_valid(entry));
   ASSERT_TRUE(sys.refresh_replica(entry));
@@ -571,7 +571,7 @@ TEST(ReactionDeterminism, IdenticalAcrossModesAndShardCounts) {
     EXPECT_EQ(lockstep.replications + lockstep.splits, 0u);
   }
   EXPECT_TRUE(lockstep == run_reaction(Mode::kVirtual, 1)) << "virtual time";
-  for (const unsigned shards : {1u, 2u, 4u})
+  for (const unsigned shards : kWorkerCounts)
     EXPECT_TRUE(lockstep == run_reaction(Mode::kParallel, shards))
         << "parallel S=" << shards;
   // Same seed, same workload: byte-for-byte repeatable.

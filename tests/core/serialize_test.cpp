@@ -2,15 +2,15 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <typeinfo>
 #include <vector>
 
-#include "byte_mutator.hpp"
 #include "squid/workload/corpus.hpp"
+#include "support/differential.hpp"
+#include "support/byte_mutator.hpp"
 
 namespace squid::core {
 namespace {
@@ -49,14 +49,8 @@ TEST(Snapshot, RoundTripPreservesMembershipAndData) {
   // Queries against the restored system match the original exactly.
   const keyword::Query q = corpus.q1(0, true);
   const auto origin = original.ring().node_ids().front();
-  auto names = [](const std::vector<DataElement>& es) {
-    std::vector<std::string> ns;
-    for (const auto& e : es) ns.push_back(e.name);
-    std::sort(ns.begin(), ns.end());
-    return ns;
-  };
-  EXPECT_EQ(names(restored.query(q, origin).elements),
-            names(original.query(q, origin).elements));
+  EXPECT_EQ(testing_support::sorted_names(restored.query(q, origin).elements),
+            testing_support::sorted_names(original.query(q, origin).elements));
 }
 
 TEST(Snapshot, MixedTokenKindsSurvive) {
@@ -201,18 +195,18 @@ TEST(Snapshot, HostileCountsAndLengthsFailLoudly) {
   }
 }
 
-// Fixed-seed single-byte substitutions, insertions, deletions and
-// truncations of a saved snapshot: each mutant either loads or throws
-// std::invalid_argument, and nothing else escapes the loader.
+// Fixed-seed mutants of a saved snapshot — single-byte substitutions,
+// insertions, deletions and truncations, then multi-byte splices,
+// numeric-field rewrites and random-byte tails: each mutant either loads or
+// throws std::invalid_argument, and nothing else escapes the loader.
 TEST(Snapshot, MutatedSnapshotsLoadOrFailLoudly) {
   constexpr int kMutants = 5000;
+  constexpr int kMultiByteMutants = 5000;
   SquidSystem original(mixed_space());
   fill_golden_system(original);
   const std::string saved = save_text(original);
-  Rng rng(0x736e6170);
   std::size_t rejected = 0;
-  for (int i = 0; i < kMutants; ++i) {
-    const std::string mutant = testing_support::mutate_one_byte(saved, rng);
+  const auto load_or_reject = [&rejected](const std::string& mutant) {
     SquidSystem sys(mixed_space());
     std::istringstream in(mutant);
     try {
@@ -226,8 +220,16 @@ TEST(Snapshot, MutatedSnapshotsLoadOrFailLoudly) {
     } catch (...) {
       ADD_FAILURE() << "mutant threw a non-std exception\n" << mutant;
     }
-  }
-  EXPECT_GT(rejected, 0u); // the mutations actually reach the parser
+  };
+  Rng rng(0x736e6170);
+  for (int i = 0; i < kMutants; ++i)
+    load_or_reject(testing_support::mutate_one_byte(saved, rng));
+  const std::size_t single_byte_rejected = rejected;
+  EXPECT_GT(single_byte_rejected, 0u); // the mutations reach the parser
+  Rng multi_rng(0x6d756c74);
+  for (int i = 0; i < kMultiByteMutants; ++i)
+    load_or_reject(testing_support::mutate_many_bytes(saved, multi_rng));
+  EXPECT_GT(rejected, single_byte_rejected);
 }
 
 } // namespace

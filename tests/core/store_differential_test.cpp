@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -17,62 +18,33 @@
 #include "squid/core/system.hpp"
 #include "squid/core/update.hpp"
 #include "squid/sim/fault.hpp"
-#include "squid/util/rng.hpp"
+#include "support/differential.hpp"
 
 namespace squid::core {
 namespace {
 
 using overlay::NodeId;
 
-const char kLetters[] = "abcde";
+using namespace testing_support;
 
-keyword::KeywordSpace two_dim_space() {
-  return keyword::KeywordSpace(
-      {keyword::StringCodec(kLetters, 3), keyword::StringCodec(kLetters, 3)});
-}
+keyword::KeywordSpace two_dim_space() { return letter_space("abcde"); }
 
 DataElement random_element(Rng& rng, int serial) {
-  std::string a, b;
-  for (std::uint64_t j = rng.range(1, 3); j-- > 0;)
-    a.push_back(kLetters[rng.below(5)]);
-  for (std::uint64_t j = rng.range(1, 3); j-- > 0;)
-    b.push_back(kLetters[rng.below(5)]);
-  return DataElement{"e" + std::to_string(serial), {a, b}};
+  return random_letter_element(rng, "abcde", "e" + std::to_string(serial));
 }
 
-/// One query-plane configuration plus the update-plane worker count it
+/// The update-plane worker count and fault switch each row of kEngineMatrix
 /// exercises. Together the nine rows cover all three curve families, finger
-/// bases {2, 4, 8, 16}, aggregation and caching on/off, worker counts
-/// {1, 2, 4}, and faults off/on.
-struct MatrixPoint {
-  const char* curve;
-  unsigned finger_base;
-  bool aggregate;
-  bool cache;
+/// bases {2, 4, 8, 16}, aggregation and caching on/off, every worker count,
+/// and faults off/on.
+struct UpdatePlane {
   unsigned shards;
   bool faults;
 };
 
-const MatrixPoint kMatrix[] = {
-    {"hilbert", 2, true, false, 1, false},
-    {"hilbert", 2, false, false, 1, false},
-    {"hilbert", 2, true, true, 2, false},
-    {"hilbert", 8, true, false, 4, false},
-    {"hilbert", 8, true, true, 1, true},
-    {"zorder", 2, true, false, 1, true},
-    {"zorder", 4, false, true, 2, true},
-    {"gray", 2, true, false, 1, true},
-    {"gray", 16, true, true, 4, true},
-};
-
-SquidConfig config_of(const MatrixPoint& p) {
-  SquidConfig config;
-  config.curve = p.curve;
-  config.finger_base = p.finger_base;
-  config.aggregate_subclusters = p.aggregate;
-  config.cache_cluster_owners = p.cache;
-  return config;
-}
+const UpdatePlane kUpdatePlane[] = {{1, false}, {1, false}, {2, false},
+                                    {4, false}, {1, true},  {1, true},
+                                    {2, true},  {1, true},  {4, true}};
 
 /// Assert the two systems expose bit-identical stores and answer queries
 /// identically from the same origins.
@@ -112,10 +84,10 @@ TEST(StoreDifferential, InterleavingsMatchFromScratchBatchBuild) {
   // Direct publish/unpublish interleavings on the tiered store, one system
   // per matrix row. The survivors, batch-loaded into a fresh twin, must
   // reproduce the store and its query answers exactly.
-  for (const MatrixPoint& p : kMatrix) {
-    SCOPED_TRACE(std::string(p.curve) + "/b" + std::to_string(p.finger_base));
+  for (const EngineConfig& engine : kEngineMatrix) {
+    SCOPED_TRACE(config_label(engine));
     Rng rng(0xd1ff);
-    SquidSystem sys(two_dim_space(), config_of(p));
+    SquidSystem sys(two_dim_space(), config_of(engine));
     Rng net(77);
     sys.build_network(20, net);
 
@@ -132,7 +104,7 @@ TEST(StoreDifferential, InterleavingsMatchFromScratchBatchBuild) {
       }
     }
 
-    SquidSystem twin(two_dim_space(), config_of(p));
+    SquidSystem twin(two_dim_space(), config_of(engine));
     Rng twin_net(77);
     twin.build_network(20, twin_net);
     twin.publish_batch(live);
@@ -152,12 +124,14 @@ TEST(StoreDifferential, UpdatePlaneMatchesBatchBuildAcrossMatrix) {
   plan.delay_probability = 0.1;
   plan.duplicate_probability = 0.05;
 
-  for (const MatrixPoint& p : kMatrix) {
-    SCOPED_TRACE(std::string(p.curve) + "/b" + std::to_string(p.finger_base) +
-                 "/S" + std::to_string(p.shards) +
+  ASSERT_EQ(std::size(kUpdatePlane), kEngineMatrix.size());
+  for (std::size_t row = 0; row < kEngineMatrix.size(); ++row) {
+    const EngineConfig& engine = kEngineMatrix[row];
+    const UpdatePlane& p = kUpdatePlane[row];
+    SCOPED_TRACE(config_label(engine) + "/S" + std::to_string(p.shards) +
                  (p.faults ? "/faults" : "/clean"));
     Rng rng(0x09d3);
-    SquidSystem sys(two_dim_space(), config_of(p));
+    SquidSystem sys(two_dim_space(), config_of(engine));
     Rng net(31);
     sys.build_network(24, net);
 
@@ -204,7 +178,7 @@ TEST(StoreDifferential, UpdatePlaneMatchesBatchBuildAcrossMatrix) {
     }
     ASSERT_EQ(sys.element_count(), live.size());
 
-    SquidSystem twin(two_dim_space(), config_of(p));
+    SquidSystem twin(two_dim_space(), config_of(engine));
     Rng twin_net(31);
     twin.build_network(24, twin_net);
     twin.publish_batch(live);
@@ -218,7 +192,6 @@ TEST(StoreDifferential, DeliveryModeNeverChangesFinalState) {
   // One op stream, three worker counts: identical per-op results —
   // verdicts, costs and completion ticks — and identical final stores
   // (clause 3 of the determinism contract in core/update.hpp).
-  const unsigned worker_counts[] = {1, 2, 4};
   // Heavy drop rate: with send_retries=3 a loss needs four straight drops,
   // so 0.5 yields a real lost population (~6% of ops) for the equality
   // check below.
@@ -255,7 +228,7 @@ TEST(StoreDifferential, DeliveryModeNeverChangesFinalState) {
     std::vector<UpdateRun> runs;
     std::vector<std::vector<u128>> key_sets;
     std::vector<std::size_t> element_counts;
-    for (const unsigned shards : worker_counts) {
+    for (const unsigned shards : kWorkerCounts) {
       SquidSystem sys(two_dim_space());
       Rng net(13);
       sys.build_network(16, net);

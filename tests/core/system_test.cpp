@@ -5,13 +5,13 @@
 #include "squid/core/update.hpp"
 #include "squid/stats/summary.hpp"
 #include "squid/util/rng.hpp"
+#include "support/differential.hpp"
 
 namespace squid::core {
 namespace {
 
 keyword::KeywordSpace small_doc_space() {
-  return keyword::KeywordSpace(
-      {keyword::StringCodec("abcd", 3), keyword::StringCodec("abcd", 3)});
+  return testing_support::letter_space("abcd");
 }
 
 DataElement doc(std::string name, std::string k1, std::string k2) {
@@ -41,20 +41,11 @@ TEST(SquidSystem, PublishGroupsElementsByKey) {
 
 TEST(SquidSystem, NodeLoadsSumToKeyCount) {
   Rng rng(3);
-  SquidSystem sys(small_doc_space());
-  sys.build_network(25, rng);
-  const char letters[] = "abcd";
-  for (int i = 0; i < 300; ++i) {
-    std::string a, b;
-    for (std::uint64_t j = rng.range(1, 3); j-- > 0;)
-      a.push_back(letters[rng.below(4)]);
-    for (std::uint64_t j = rng.range(1, 3); j-- > 0;)
-      b.push_back(letters[rng.below(4)]);
-    sys.publish(doc("d" + std::to_string(i), a, b));
-  }
+  const testing_support::LetterWorld world = testing_support::make_letter_world(
+      rng, {.letters = "abcd", .nodes = 25, .elements = 300, .name = "d"});
   std::size_t total = 0;
-  for (const auto& [id, load] : sys.node_loads()) total += load;
-  EXPECT_EQ(total, sys.key_count());
+  for (const auto& [id, load] : world.sys->node_loads()) total += load;
+  EXPECT_EQ(total, world.sys->key_count());
 }
 
 TEST(SquidSystem, PublishUpdateReachesTheOwner) {

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -13,59 +12,41 @@
 #include "squid/obs/metrics.hpp" // defines the SQUID_OBS_ENABLED default
 #include "squid/obs/trace.hpp"
 #include "squid/sim/fault.hpp"
-#include "squid/util/rng.hpp"
+#include "support/differential.hpp"
 
 namespace squid::core {
 namespace {
 
-struct Corpus {
-  SquidSystem sys;
-  std::vector<DataElement> all;
-};
+using namespace testing_support;
 
-Corpus make_corpus(std::uint64_t seed, SquidConfig config = {}) {
-  Corpus corpus{
-      SquidSystem(keyword::KeywordSpace({keyword::StringCodec("abcd", 3),
-                                         keyword::StringCodec("abcd", 3)}),
-                  std::move(config)),
-      {}};
+LetterWorld make_corpus(std::uint64_t seed, SquidConfig config = {}) {
   Rng rng(seed);
-  corpus.sys.build_network(48, rng);
-  const char letters[] = "abcd";
-  for (std::size_t i = 0; i < 600; ++i) {
-    std::string a, b;
-    for (std::uint64_t j = rng.range(1, 3); j-- > 0;)
-      a.push_back(letters[rng.below(4)]);
-    for (std::uint64_t j = rng.range(1, 3); j-- > 0;)
-      b.push_back(letters[rng.below(4)]);
-    corpus.all.push_back(DataElement{"doc" + std::to_string(i), {a, b}});
-    corpus.sys.publish(corpus.all.back());
-  }
-  return corpus;
+  return make_letter_world(
+      rng, {.letters = "abcd", .nodes = 48, .elements = 600, .name = "doc"},
+      std::move(config));
 }
 
-std::size_t oracle_matches(const Corpus& corpus, const keyword::Query& q) {
-  std::size_t n = 0;
-  for (const auto& e : corpus.all) n += corpus.sys.space().matches(q, e.keys);
-  return n;
+std::size_t oracle_matches(const LetterWorld& corpus,
+                           const keyword::Query& q) {
+  return oracle_names(corpus.sys->space(), corpus.all, q).size();
 }
 
 TEST(QueryFault, LossyNetworkYieldsPartialResultsWithHonestAccounting) {
-  Corpus corpus = make_corpus(2003);
+  LetterWorld corpus = make_corpus(2003);
   sim::FaultPlan plan;
   plan.seed = 77;
   plan.drop_probability = 0.25;
   sim::FaultInjector injector(plan);
-  corpus.sys.set_fault_injector(&injector);
+  corpus.sys->set_fault_injector(&injector);
 
-  const keyword::Query q = corpus.sys.space().parse("a*, *");
+  const keyword::Query q = corpus.sys->space().parse("a*, *");
   const std::size_t truth = oracle_matches(corpus, q);
   Rng pick(5);
   bool saw_incomplete = false;
   bool saw_retry = false;
   for (int round = 0; round < 12; ++round) {
     const QueryResult r =
-        corpus.sys.query(q, corpus.sys.ring().random_node(pick));
+        corpus.sys->query(q, corpus.sys->ring().random_node(pick));
     // Partial results are honest: completeness flag mirrors the abandoned
     // sub-query count, and a lossy run never invents elements.
     EXPECT_EQ(r.complete, r.stats.failed_clusters == 0);
@@ -83,40 +64,40 @@ TEST(QueryFault, LossyNetworkYieldsPartialResultsWithHonestAccounting) {
 }
 
 TEST(QueryFault, ProcessTimeoutsDrainsReportsIntoRingRepair) {
-  Corpus corpus = make_corpus(7);
+  LetterWorld corpus = make_corpus(7);
   sim::FaultPlan plan;
   plan.seed = 13;
   plan.drop_probability = 0.35;
   sim::FaultInjector injector(plan);
-  corpus.sys.set_fault_injector(&injector);
+  corpus.sys->set_fault_injector(&injector);
 
-  const keyword::Query q = corpus.sys.space().parse("*, b*");
+  const keyword::Query q = corpus.sys->space().parse("*, b*");
   Rng pick(3);
   for (int round = 0; round < 8; ++round)
-    corpus.sys.query(q, corpus.sys.ring().random_node(pick));
+    corpus.sys->query(q, corpus.sys->ring().random_node(pick));
   const std::size_t pending = injector.pending_timeout_reports();
   ASSERT_GT(pending, 0u);
-  EXPECT_EQ(corpus.sys.process_timeouts(), pending);
+  EXPECT_EQ(corpus.sys->process_timeouts(), pending);
   EXPECT_EQ(injector.pending_timeout_reports(), 0u);
-  EXPECT_EQ(corpus.sys.process_timeouts(), 0u);
+  EXPECT_EQ(corpus.sys->process_timeouts(), 0u);
 
   // All suspicions here are false positives (nobody actually crashed), so
   // stabilization must re-converge the ring and queries must stay complete
   // once the network heals.
-  corpus.sys.set_fault_injector(nullptr);
+  corpus.sys->set_fault_injector(nullptr);
   Rng maint(11);
-  corpus.sys.stabilize(maint, 4);
-  EXPECT_TRUE(corpus.sys.ring().ring_consistent());
+  corpus.sys->stabilize(maint, 4);
+  EXPECT_TRUE(corpus.sys->ring().ring_consistent());
   const QueryResult healed =
-      corpus.sys.query(q, corpus.sys.ring().random_node(pick));
+      corpus.sys->query(q, corpus.sys->ring().random_node(pick));
   EXPECT_TRUE(healed.complete);
   EXPECT_EQ(healed.stats.matches, oracle_matches(corpus, q));
 }
 
 #if SQUID_OBS_ENABLED
 TEST(QueryFault, TraceDerivedStatsMatchEngineStatsUnderFaults) {
-  Corpus corpus = make_corpus(99);
-  corpus.sys.set_tracing(true);
+  LetterWorld corpus = make_corpus(99);
+  corpus.sys->set_tracing(true);
   sim::FaultPlan plan;
   plan.seed = 31;
   plan.drop_probability = 0.2;
@@ -124,15 +105,15 @@ TEST(QueryFault, TraceDerivedStatsMatchEngineStatsUnderFaults) {
   plan.max_delay = 4;
   plan.duplicate_probability = 0.1;
   sim::FaultInjector injector(plan);
-  corpus.sys.set_fault_injector(&injector);
+  corpus.sys->set_fault_injector(&injector);
 
   Rng pick(17);
   std::size_t faulted_queries = 0;
   for (const char* text : {"a*, *", "*, b*", "ab, *", "b*, c*"}) {
-    const keyword::Query q = corpus.sys.space().parse(text);
+    const keyword::Query q = corpus.sys->space().parse(text);
     for (int round = 0; round < 4; ++round) {
       const QueryResult r =
-          corpus.sys.query(q, corpus.sys.ring().random_node(pick));
+          corpus.sys->query(q, corpus.sys->ring().random_node(pick));
       ASSERT_TRUE(r.trace);
       const QueryStats derived = obs::derive_stats(*r.trace);
       EXPECT_EQ(derived.messages, r.stats.messages);
@@ -152,23 +133,23 @@ TEST(QueryFault, TraceDerivedStatsMatchEngineStatsUnderFaults) {
 #endif
 
 TEST(QueryFault, BackoffPenaltiesLengthenTheCriticalPath) {
-  Corpus bare = make_corpus(42);
+  LetterWorld bare = make_corpus(42);
   SquidConfig config; // defaults; same as bare
-  Corpus faulted = make_corpus(42, std::move(config));
+  LetterWorld faulted = make_corpus(42, std::move(config));
   sim::FaultPlan plan;
   plan.seed = 3;
   plan.drop_probability = 0.3;
   sim::FaultInjector injector(plan);
-  faulted.sys.set_fault_injector(&injector);
+  faulted.sys->set_fault_injector(&injector);
 
-  const keyword::Query q = bare.sys.space().parse("a*, b*");
+  const keyword::Query q = bare.sys->space().parse("a*, b*");
   Rng pick_a(23), pick_b(23);
   std::size_t bare_total = 0, faulted_total = 0;
   for (int round = 0; round < 10; ++round) {
-    const auto origin = bare.sys.ring().random_node(pick_a);
-    ASSERT_EQ(origin, faulted.sys.ring().random_node(pick_b));
-    bare_total += bare.sys.query(q, origin).stats.critical_path_hops;
-    faulted_total += faulted.sys.query(q, origin).stats.critical_path_hops;
+    const auto origin = bare.sys->ring().random_node(pick_a);
+    ASSERT_EQ(origin, faulted.sys->ring().random_node(pick_b));
+    bare_total += bare.sys->query(q, origin).stats.critical_path_hops;
+    faulted_total += faulted.sys->query(q, origin).stats.critical_path_hops;
   }
   // Every resend waits out an exponential backoff on the critical path, so
   // aggregate latency under loss must strictly exceed the clean runs.

@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <sstream>
 
 #include "squid/core/replication.hpp"
@@ -12,19 +11,14 @@
 #include "squid/core/system.hpp"
 #include "squid/core/timing.hpp"
 #include "squid/workload/corpus.hpp"
+#include "support/differential.hpp"
 
 namespace squid {
 namespace {
 
-using core::DataElement;
 using core::SquidSystem;
-
-std::vector<std::string> names_of(const std::vector<DataElement>& es) {
-  std::vector<std::string> names;
-  for (const auto& e : es) names.push_back(e.name);
-  std::sort(names.begin(), names.end());
-  return names;
-}
+using testing_support::oracle_names;
+using testing_support::sorted_names;
 
 TEST(FullStack, LifecyclePreservesEveryGuarantee) {
   Rng rng(2003);
@@ -44,12 +38,10 @@ TEST(FullStack, LifecyclePreservesEveryGuarantee) {
 
   // Stage 2: completeness on the balanced system.
   const keyword::Query probe = corpus.q1(0, true);
-  std::vector<std::string> expected;
-  for (const auto& e : elements)
-    if (sys.space().matches(probe, e.keys)) expected.push_back(e.name);
-  std::sort(expected.begin(), expected.end());
+  const std::vector<std::string> expected =
+      oracle_names(sys.space(), elements, probe);
   const auto first = sys.query(probe, sys.ring().random_node(rng));
-  ASSERT_EQ(names_of(first.elements), expected);
+  ASSERT_EQ(sorted_names(first.elements), expected);
   EXPECT_EQ(sys.query_aggregate(probe, {core::AggregateKind::kCount},
                                 sys.ring().random_node(rng))
                 .aggregate->count,
@@ -76,7 +68,7 @@ TEST(FullStack, LifecyclePreservesEveryGuarantee) {
   SquidSystem restored(corpus.make_space(), config);
   core::load_snapshot(restored, snapshot);
   const auto origin = sys.ring().node_ids().front();
-  EXPECT_EQ(names_of(restored.query(probe, origin).elements), expected);
+  EXPECT_EQ(sorted_names(restored.query(probe, origin).elements), expected);
 
   // Stage 5: churn with replication — three waves of ~7% failures with a
   // repair round between waves (repair must outpace failure for factor 3
@@ -95,7 +87,7 @@ TEST(FullStack, LifecyclePreservesEveryGuarantee) {
   // Stage 6: still complete after all of it.
   const auto final_result =
       restored.query(probe, restored.ring().random_node(rng));
-  EXPECT_EQ(names_of(final_result.elements), expected);
+  EXPECT_EQ(sorted_names(final_result.elements), expected);
   // And still bounded: a fraction of peers processed the query.
   EXPECT_LT(final_result.stats.processing_nodes,
             restored.ring().size() / 2);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string_view>
+
 #include "squid/util/rng.hpp"
 
 namespace squid::keyword {
@@ -149,6 +152,19 @@ TEST(KeywordSpace, RejectsTermKindMismatchedToDimension) {
   EXPECT_THROW((void)space.to_rect(bad1), std::invalid_argument);
   Query bad2{{Any{}, Whole{"word"}}};
   EXPECT_THROW((void)space.to_rect(bad2), std::invalid_argument);
+}
+
+TEST(KeywordSpace, RequirementErrorsNameTheSourceFromTheRepositoryRoot) {
+  // A failed requirement names its source file relative to the repository
+  // root, not by the absolute path of the checkout that built the library.
+  const KeywordSpace space = make_document_space();
+  try {
+    (void)space.to_rect(space.parse("(m-a, *)"));
+    FAIL() << "an out-of-order string range was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string_view what = e.what();
+    EXPECT_TRUE(what.starts_with("src/keyword/space.cpp:")) << what;
+  }
 }
 
 TEST(KeywordSpace, RejectsOversizedIndexBudget) {

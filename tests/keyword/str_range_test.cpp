@@ -3,11 +3,10 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "squid/core/system.hpp"
 #include "squid/keyword/space.hpp"
 #include "squid/util/rng.hpp"
+#include "support/differential.hpp"
 
 namespace squid::keyword {
 namespace {
@@ -66,11 +65,9 @@ TEST(StrRange, EndToEndQueryThroughTheEngine) {
   }
   const Query q = sys.space().parse("(bee-fox, *)");
   const auto result = sys.query(q, sys.ring().random_node(rng));
-  std::vector<std::string> got;
-  for (const auto& e : result.elements) got.push_back(e.name);
-  std::sort(got.begin(), got.end());
-  EXPECT_EQ(got, (std::vector<std::string>{"doc-bee", "doc-cat", "doc-crow",
-                                           "doc-dog", "doc-eel", "doc-fox"}));
+  EXPECT_EQ(testing_support::sorted_names(result.elements),
+            (std::vector<std::string>{"doc-bee", "doc-cat", "doc-crow",
+                                      "doc-dog", "doc-eel", "doc-fox"}));
 }
 
 } // namespace

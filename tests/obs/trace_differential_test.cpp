@@ -7,22 +7,26 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
-#include <tuple>
 
 #include "squid/core/system.hpp"
-#include "squid/obs/metrics.hpp"
 #include "squid/obs/trace.hpp"
-#include "squid/util/rng.hpp"
+#include "support/differential.hpp"
 
 namespace squid::core {
 namespace {
 
-using Config = std::tuple<std::string, unsigned, bool, bool>;
-// curve, finger_base, aggregate, cache
+using namespace testing_support;
 
-class TraceDifferential : public ::testing::TestWithParam<Config> {};
+class TraceDifferential : public ::testing::TestWithParam<EngineConfig> {};
+
+/// live records traces, ref is its untraced twin.
+TwinWorld make_traced_twin(const EngineConfig& engine) {
+  TwinWorld world = make_letter_twin(engine, /*traced=*/false,
+                                     {.network = 0x0b5, .data = 0xdead});
+  world.live->set_tracing(true);
+  return world;
+}
 
 void expect_stats_identical(const QueryStats& derived, const QueryStats& legacy,
                             const std::string& context) {
@@ -57,84 +61,20 @@ void expect_well_formed(const obs::Trace& trace, const std::string& context) {
   }
 }
 
-struct TracedWorld {
-  std::unique_ptr<SquidSystem> traced;
-  std::unique_ptr<SquidSystem> plain; ///< identical twin, tracing off
-  std::vector<DataElement> all;
-};
-
-TracedWorld make_world(const Config& param) {
-  const auto& [curve, finger_base, aggregate, cache] = param;
-  SquidConfig config;
-  config.curve = curve;
-  config.finger_base = finger_base;
-  config.aggregate_subclusters = aggregate;
-  config.cache_cluster_owners = cache;
-
-  TracedWorld world;
-  const char letters[] = "abcde";
-  const keyword::KeywordSpace space(
-      {keyword::StringCodec(letters, 3), keyword::StringCodec(letters, 3)});
-
-  world.traced = std::make_unique<SquidSystem>(space, config);
-  world.traced->set_tracing(true);
-  world.plain = std::make_unique<SquidSystem>(space, config);
-
-  // Both systems see the exact same network and data: separate rng
-  // instances with the same seed keep their streams in lockstep.
-  Rng rng_a(0x0b5 ^ finger_base), rng_b(0x0b5 ^ finger_base);
-  world.traced->build_network(35, rng_a);
-  world.plain->build_network(35, rng_b);
-
-  Rng rng(0xdead);
-  for (int i = 0; i < 400; ++i) {
-    std::string a, b;
-    for (std::uint64_t j = rng.range(1, 3); j-- > 0;)
-      a.push_back(letters[rng.below(5)]);
-    for (std::uint64_t j = rng.range(1, 3); j-- > 0;)
-      b.push_back(letters[rng.below(5)]);
-    world.all.push_back(DataElement{"e" + std::to_string(i), {a, b}});
-    world.traced->publish(world.all.back());
-    world.plain->publish(world.all.back());
-  }
-  return world;
-}
-
-keyword::Query random_query(Rng& rng) {
-  const char letters[] = "abcde";
-  keyword::Query q;
-  for (int dim = 0; dim < 2; ++dim) {
-    const auto kind = rng.below(3);
-    if (kind == 0) {
-      q.terms.push_back(keyword::Any{});
-    } else {
-      std::string w;
-      for (std::uint64_t j = rng.range(1, 3); j-- > 0;)
-        w.push_back(letters[rng.below(5)]);
-      if (kind == 1) {
-        q.terms.push_back(keyword::Whole{w});
-      } else {
-        q.terms.push_back(keyword::Prefix{w});
-      }
-    }
-  }
-  return q;
-}
-
 TEST_P(TraceDifferential, DerivedStatsAreBitIdentical) {
   if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
-  TracedWorld world = make_world(GetParam());
-  ASSERT_TRUE(world.traced->tracing());
-  ASSERT_FALSE(world.plain->tracing());
+  TwinWorld world = make_traced_twin(GetParam());
+  ASSERT_TRUE(world.live->tracing());
+  ASSERT_FALSE(world.ref->tracing());
 
   Rng rng(0x7ace);
   for (int trial = 0; trial < 40; ++trial) {
-    const keyword::Query q = random_query(rng);
-    const auto origin = world.traced->ring().random_node(rng);
+    const keyword::Query q = random_letter_query(rng);
+    const auto origin = world.live->ring().random_node(rng);
     const std::string context =
         keyword::to_string(q) + " trial " + std::to_string(trial);
 
-    const auto traced = world.traced->query(q, origin);
+    const auto traced = world.live->query(q, origin);
     ASSERT_NE(traced.trace, nullptr) << context;
     expect_well_formed(*traced.trace, context);
     expect_stats_identical(obs::derive_stats(*traced.trace), traced.stats,
@@ -142,7 +82,7 @@ TEST_P(TraceDifferential, DerivedStatsAreBitIdentical) {
 
     // Tracing is observation, not interference: the untraced twin agrees
     // on every legacy aggregate and on the result set size.
-    const auto plain = world.plain->query(q, origin);
+    const auto plain = world.ref->query(q, origin);
     EXPECT_EQ(plain.trace, nullptr) << context;
     expect_stats_identical(plain.stats, traced.stats, context);
     EXPECT_EQ(plain.elements.size(), traced.elements.size()) << context;
@@ -151,13 +91,13 @@ TEST_P(TraceDifferential, DerivedStatsAreBitIdentical) {
 
 TEST_P(TraceDifferential, CentralizedDecompositionIsDerivableToo) {
   if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
-  TracedWorld world = make_world(GetParam());
+  TwinWorld world = make_traced_twin(GetParam());
   Rng rng(0xce27);
   for (int trial = 0; trial < 10; ++trial) {
-    const keyword::Query q = random_query(rng);
-    const auto origin = world.traced->ring().random_node(rng);
+    const keyword::Query q = random_letter_query(rng);
+    const auto origin = world.live->ring().random_node(rng);
     const std::string context = keyword::to_string(q) + " [centralized]";
-    const auto result = world.traced->query_centralized(q, origin);
+    const auto result = world.live->query_centralized(q, origin);
     ASSERT_NE(result.trace, nullptr) << context;
     expect_well_formed(*result.trace, context);
     expect_stats_identical(obs::derive_stats(*result.trace), result.stats,
@@ -165,29 +105,12 @@ TEST_P(TraceDifferential, CentralizedDecompositionIsDerivableToo) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Configs, TraceDifferential,
-    ::testing::Values(Config{"hilbert", 2, true, false},
-                      Config{"hilbert", 2, false, false},
-                      Config{"hilbert", 2, true, true},
-                      Config{"hilbert", 8, true, false},
-                      Config{"hilbert", 8, true, true},
-                      Config{"zorder", 2, true, false},
-                      Config{"zorder", 4, false, true},
-                      Config{"gray", 2, true, false},
-                      Config{"gray", 16, true, true}),
-    [](const auto& info) {
-      return std::get<0>(info.param) + "_b" +
-             std::to_string(std::get<1>(info.param)) +
-             (std::get<2>(info.param) ? "_agg" : "_noagg") +
-             (std::get<3>(info.param) ? "_cache" : "_nocache");
-    });
+INSTANTIATE_TEST_SUITE_P(Configs, TraceDifferential,
+                         ::testing::ValuesIn(kEngineMatrix), config_name);
 
 TEST(TraceLifecycle, PointQueriesCarryARouteAndAScan) {
   if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
-  const char letters[] = "abcde";
-  SquidSystem sys(keyword::KeywordSpace({keyword::StringCodec(letters, 3),
-                                         keyword::StringCodec(letters, 3)}));
+  SquidSystem sys(letter_space("abcde"));
   sys.set_tracing(true);
   Rng rng(42);
   sys.build_network(35, rng);
@@ -212,9 +135,7 @@ TEST(TraceLifecycle, PointQueriesCarryARouteAndAScan) {
 }
 
 TEST(TraceLifecycle, RuntimeToggleControlsRecording) {
-  const char letters[] = "abcde";
-  SquidSystem sys(keyword::KeywordSpace(
-      {keyword::StringCodec(letters, 3), keyword::StringCodec(letters, 3)}));
+  SquidSystem sys(letter_space("abcde"));
   Rng rng(43);
   sys.build_network(20, rng);
   sys.publish(DataElement{"x", {"ab", "cd"}});

@@ -12,6 +12,7 @@
 #include "squid/overlay/chord.hpp"
 #include "squid/sfc/hilbert.hpp"
 #include "squid/util/rng.hpp"
+#include "support/differential.hpp"
 
 namespace squid {
 namespace {
@@ -111,9 +112,9 @@ TEST(CodecFuzz, RandomAlphabetsRoundTripAndOrder) {
 
 // --- 3D end-to-end engine sweep ----------------------------------------------
 
-using EngineConfig = std::tuple<std::string, unsigned>;
+using CurveAndBase = std::tuple<std::string, unsigned>;
 
-class Engine3D : public ::testing::TestWithParam<EngineConfig> {};
+class Engine3D : public ::testing::TestWithParam<CurveAndBase> {};
 
 TEST_P(Engine3D, ThreeDimensionalCompleteness) {
   const auto& [curve, finger_base] = GetParam();
@@ -142,22 +143,17 @@ TEST_P(Engine3D, ThreeDimensionalCompleteness) {
   for (const std::string text :
        {"(a*, *, *)", "(*, b, *)", "(a, b*, c)", "(*, *, *)", "(c*, a*, *)"}) {
     const keyword::Query q = sys.space().parse(text);
-    std::vector<std::string> expected;
-    for (const auto& e : all)
-      if (sys.space().matches(q, e.keys)) expected.push_back(e.name);
-    std::sort(expected.begin(), expected.end());
     const auto result = sys.query(q, sys.ring().random_node(rng));
-    std::vector<std::string> got;
-    for (const auto& e : result.elements) got.push_back(e.name);
-    std::sort(got.begin(), got.end());
-    ASSERT_EQ(got, expected) << curve << " base " << finger_base << " " << text;
+    ASSERT_EQ(testing_support::sorted_names(result.elements),
+              testing_support::oracle_names(sys.space(), all, q))
+        << curve << " base " << finger_base << " " << text;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Configs, Engine3D,
-    ::testing::Values(EngineConfig{"hilbert", 2}, EngineConfig{"hilbert", 8},
-                      EngineConfig{"zorder", 2}, EngineConfig{"gray", 4}),
+    ::testing::Values(CurveAndBase{"hilbert", 2}, CurveAndBase{"hilbert", 8},
+                      CurveAndBase{"zorder", 2}, CurveAndBase{"gray", 4}),
     [](const auto& info) {
       return std::get<0>(info.param) + "_b" +
              std::to_string(std::get<1>(info.param));
