@@ -7,7 +7,9 @@
 // accounting sets, the timing DAG, the trace recorder, the fault/retry
 // machinery, and a completion counter — and posts the query's messages.
 // Delivering one runs its work at the destination node (SquidSystem's
-// handlers, which post the follow-up messages).
+// handlers, which post the follow-up messages); a delivered ScanRequest's
+// handler writes its matches, reply bytes and scan span straight into the
+// exec.
 //
 // Two delivery modes share all of that code:
 //
@@ -27,7 +29,7 @@
 //
 // Fault interception is uniform: every protocol leg is judged by
 // Engine::admit (the same point Engine::send is built on), with retries and
-// backoff folded into the leg's timing-DAG hops by QueryExec::attempt_leg.
+// backoff folded into the leg's timing-DAG hops by QueryExec::judge_leg.
 
 #pragma once
 
@@ -66,31 +68,13 @@ struct AggScanRecord {
   std::uint64_t ship_bytes = 0;
 };
 
-/// One scan's result, filled by SquidSystem::sweep_scan and merged into its
-/// QueryExec by QueryExec::absorb_scan right after the sweep, at the
-/// ScanRequest's delivery.
-struct ScanBuffer {
-  // The request's identity, replayed into the kLocalScan span at absorb.
-  overlay::NodeId at = 0;
-  sfc::Segment segment{0, 0};
-  std::int32_t event = 0;
-  std::int32_t span = -1;
-  std::uint32_t slot = 0; ///< aggregate queries: the QueryExec::agg_scans slot
-  /// Element queries: the matches, appended in key order. Sequential
-  /// delivery lends the query's results here, so the sweep appends after
-  /// them (a reply covers only the scan's own elements).
-  std::vector<DataElement> elements;
-  std::uint64_t keys_scanned = 0;
-  std::uint64_t keys_matched = 0;
-  std::uint64_t matches = 0;
-  /// Aggregate pushdown: the scan folds into this record instead of filling
-  /// `elements`; absorb moves it into its agg_scans slot.
-  AggScanRecord agg;
-  /// Element queries: measured reply wire cost of this scan's answer (see
-  /// QueryStats::bytes_shipped), sized by the sweep.
-  std::uint64_t reply_bytes = 0;
-  std::uint64_t reply_frames = 0;
-};
+/// Resends attempted per message leg after a presumed loss, before the leg
+/// is abandoned (docs/FAULT_MODEL.md). Only consulted while a fault
+/// injector is attached.
+inline constexpr unsigned kSendRetries = 3;
+/// Base retry backoff in virtual ticks: resend k first waits
+/// kRetryBackoff << k (2, 4, 8 ticks).
+inline constexpr sim::Time kRetryBackoff = 2;
 
 /// How QueryExec::post schedules message arrivals (see file comment).
 enum class DeliveryMode : std::uint8_t {
@@ -203,7 +187,7 @@ struct QueryExec : std::enable_shared_from_this<QueryExec> {
   std::size_t retries = 0;
   std::size_t failed_clusters = 0;
 
-  /// Outcome of one fault-aware message-leg delivery (attempt_leg).
+  /// Outcome of one fault-aware message-leg delivery (judge_leg).
   struct Leg {
     bool delivered = true;
     std::size_t extra_messages = 0; ///< resends + duplicate copies paid
@@ -213,17 +197,13 @@ struct QueryExec : std::enable_shared_from_this<QueryExec> {
 
   /// Judge one message leg from -> to through `engine`.admit — the uniform
   /// fault interception point — resending with exponential backoff
-  /// (config.retry_backoff << attempt) up to config.send_retries times.
-  /// No injector attached: immediate clean delivery (the zero-overhead
-  /// path — no draws). Shared by query legs and update frames
-  /// (core/update.hpp), so both consume an injector's stream identically.
-  static Leg judge_leg(sim::Engine& engine, const SquidConfig& config,
-                       NodeId from, NodeId to);
-
-  /// judge_leg on this query's engine under sys->config(). Verdicts are
-  /// drawn here, at planning time, so the injector's RNG stream is consumed
-  /// in exactly the seed recursion's order.
-  Leg attempt_leg(NodeId from, NodeId to);
+  /// (kRetryBackoff << attempt) up to kSendRetries times. No injector
+  /// attached: immediate clean delivery (the zero-overhead path — no
+  /// draws). Shared by query legs and update frames (core/update.hpp), so
+  /// both consume an injector's stream identically. Query legs are judged
+  /// at planning time, so the stream is consumed in exactly the seed
+  /// recursion's order.
+  static Leg judge_leg(sim::Engine& engine, NodeId from, NodeId to);
 
   /// Account a *delivered* leg's fault costs. Resends and duplicate copies
   /// are extra query messages; the retry span carries them so derive_stats
@@ -278,12 +258,6 @@ struct QueryExec : std::enable_shared_from_this<QueryExec> {
   /// what the head's arrival carries.
   Leg dispatch_head(std::span<const NodeId> path, bool cache_hit,
                     unsigned level, std::int32_t event, std::int32_t span);
-
-  /// Merge one swept scan (SquidSystem::sweep_scan) into this query: the
-  /// processing/data node sets, the elements or the aggregate record, the
-  /// reply's bytes and frames, the telemetry records and the kLocalScan
-  /// span. The one place scan bookkeeping happens, in every delivery mode.
-  void absorb_scan(ScanBuffer& scan);
 
   std::int32_t add_event(std::int32_t parent, std::size_t hops) {
     timing.push_back(TimingEvent{parent, static_cast<std::uint32_t>(hops)});

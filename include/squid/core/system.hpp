@@ -319,9 +319,10 @@ public:
 
   /// Attach (or detach, with nullptr) a fault injector: every query message
   /// leg then consults it and retries lost legs with exponential backoff
-  /// (config().send_retries / retry_backoff). Not owned; must outlive its
-  /// use. An injector with an empty plan leaves every query bit-identical
-  /// to running without one (the zero-fault differential lock).
+  /// (kSendRetries / kRetryBackoff, core/runtime.hpp). Not owned; must
+  /// outlive its use. An injector with an empty plan leaves every query
+  /// bit-identical to running without one (the zero-fault differential
+  /// lock).
   void set_fault_injector(sim::FaultInjector* injector) noexcept {
     fault_ = injector;
   }
@@ -408,18 +409,15 @@ private:
       QueryExec& exec, NodeId from,
       const std::vector<std::pair<u128, sfc::ClusterNode>>& clusters,
       std::int32_t event, std::int32_t span) const;
-  /// ScanRequest work: sweep this peer's slice of the store into `out` and
-  /// size its reply (a replica scan sweeps the same live store and credits
-  /// the entry's serve counter). Reads only exec's rect and origin;
-  /// QueryExec::absorb_scan merges the buffer afterwards. For aggregate
-  /// requests (scan.agg.kind != kNone) the matches fold into out.agg
-  /// instead.
-  void sweep_scan(const QueryExec& exec, const msg::ScanRequest& scan,
-                  ScanBuffer& out) const;
-  /// The live-store walk: visit stored keys in [segment.lo, segment.hi],
-  /// filter by `rect` unless `covered`, and collect or fold into `out`.
-  void scan_segment(const sfc::Rect& rect, sfc::Segment segment, bool covered,
-                    ScanBuffer& out) const;
+  /// ScanRequest work, the one scan step (paper 3.4, Fig 8): one walk of
+  /// the live store over the request's segment, filtered by exec's rect
+  /// unless the request is covered. Element scans append their matches to
+  /// exec.results and sum their wire bytes; aggregate scans
+  /// (req.agg.kind != kNone) fold into exec.agg_scans[req.slot] instead.
+  /// After the walk: a replica entry's serve credit, the node logs, an
+  /// element scan's reply bytes and frames, the telemetry records and the
+  /// kLocalScan span.
+  void scan(QueryExec& exec, const msg::ScanRequest& req) const;
   /// Reply delivery: assemble QueryResult, close the trace, publish
   /// metrics, release the cache guard, stamp completed_at.
   void finalize_query(QueryExec& exec) const;
@@ -468,9 +466,6 @@ private:
   /// prefix). Counts a stale skip and returns null when only invalidated
   /// entries match.
   const ReplicaEntry* replica_serving(const sfc::ClusterNode& cluster) const;
-  /// Scan-side hook: credit `matched` keys of served load to entry `id`
-  /// (no-op for id 0 / dropped entries). Called from sweep_scan.
-  void note_replica_serve(std::uint64_t id, std::uint64_t matched) const;
   /// Run one store mutation and credit the tier merges it triggered to
   /// squid.store.merges (publish, publish_batch and unpublish; defined in
   /// system.cpp, their only user).

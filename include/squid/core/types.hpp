@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "squid/keyword/space.hpp"
-#include "squid/sim/engine.hpp"
 
 namespace squid::obs {
 struct Trace;
@@ -109,13 +108,6 @@ struct SquidConfig {
   /// prefix, and sends later sub-queries for cached prefixes directly
   /// (verified on arrival; stale entries fall back to routing).
   bool cache_cluster_owners = false;
-  /// Fault tolerance (docs/FAULT_MODEL.md): resends attempted per message
-  /// leg after a presumed loss, before the leg is abandoned. Only consulted
-  /// while a fault injector is attached.
-  unsigned send_retries = 3;
-  /// Base retry backoff in virtual ticks; attempt k waits
-  /// retry_backoff << k before resending (exponential).
-  sim::Time retry_backoff = 2;
   /// Hotspot-detector floor calibration (docs/LOAD_BALANCING.md): the
   /// effective HotspotConfig::min_load is raised to this factor × the p95
   /// of per-node epoch load totals over a calibration window

@@ -27,7 +27,10 @@
 // The planner below only decides where messages go; each send is recorded
 // (count, routing set, telemetry, span, leg verdict) by one of two
 // QueryExec methods: forward (routed sub-query or owner-chain hop) and
-// dispatch_head (a cluster dispatch's head, routed or cache-resolved).
+// dispatch_head (a cluster dispatch's head, routed or cache-resolved). A
+// delivered ScanRequest is one step, SquidSystem::scan: a single store walk
+// that writes matches (or an aggregate fold), reply bytes, telemetry and
+// the kLocalScan span straight into the query's exec.
 // With SQUID_OBS_ENABLED=0 the exec's trace pointer is a constexpr nullptr
 // and every `if (ex.trace)` branch folds away.
 
@@ -174,14 +177,7 @@ void SquidSystem::deliver(QueryExec& ex, const msg::Message& message) const {
     void operator()(const msg::ClusterDispatch& d) const {
       sys.handle_resolve(ex, d.to, &d.head, d.batch.clusters, d.event, d.span);
     }
-    void operator()(const msg::ScanRequest& s) const {
-      // Lend the query's results to the buffer so the sweep appends in
-      // place (absorb hands them back): no second copy of every element.
-      ScanBuffer buffer;
-      buffer.elements.swap(ex.results);
-      sys.sweep_scan(ex, s, buffer);
-      ex.absorb_scan(buffer);
-    }
+    void operator()(const msg::ScanRequest& s) const { sys.scan(ex, s); }
     void operator()(const msg::Reply&) const { sys.finalize_query(ex); }
     void operator()(const msg::PublishRequest&) const {
       // Update frames ride the update plane (core/update.hpp), which owns
@@ -195,80 +191,83 @@ void SquidSystem::deliver(QueryExec& ex, const msg::Message& message) const {
   std::visit(V{*this, ex}, message);
 }
 
-namespace {
-
-/// The per-key filter/fold body of scan_segment. Aggregate scans (the
-/// buffer's record carries a spec) fold matches into the record; element
-/// scans collect them.
-void visit_scanned_key(const sfc::Point& point,
-                       const std::vector<DataElement>& elements,
-                       const sfc::Rect& rect, bool covered, ScanBuffer& out) {
-  ++out.keys_scanned;
-  if (!covered && !rect.contains(point)) return;
-  ++out.keys_matched;
-  out.matches += elements.size();
-  if (out.agg.partial.spec.kind != AggregateKind::kNone) {
-    for (const DataElement& e : elements) {
-      out.agg.partial.fold(e);
-      // What shipping this element instead would have cost; feeds the
-      // bytes_saved counter, so skip the serializer when obs is off.
-      if constexpr (obs::kEnabled) out.agg.ship_bytes += element_wire_size(e);
-    }
-  } else {
-    out.elements.insert(out.elements.end(), elements.begin(), elements.end());
+void SquidSystem::scan(QueryExec& ex, const msg::ScanRequest& req) const {
+  // Aggregate scans (req.agg.kind != kNone) fold matches into their record —
+  // the pushdown of DESIGN.md 4g; element scans append them to the query's
+  // results and size their reply as they go.
+  AggScanRecord* record = nullptr;
+  if (req.agg.kind != AggregateKind::kNone) {
+    record = &ex.agg_scans[req.slot];
+    record->at = req.at;
+    record->partial.spec = req.agg;
   }
-}
-
-} // namespace
-
-void SquidSystem::scan_segment(const sfc::Rect& rect, sfc::Segment seg,
-                               bool covered, ScanBuffer& out) const {
+  std::uint64_t keys_scanned = 0;
+  std::uint64_t keys_matched = 0;
+  std::size_t matches = 0;
+  std::size_t payload = 0; // element scans: wire bytes of the matches
   // The live-store sweep: a lockstep walk over the tiers in ascending key
   // order, tombstones skipped entirely (a retracted key is invisible to
-  // keys_scanned, exactly as if it had never been published).
-  store_.scan(seg.lo, seg.hi, [&](u128, const StoredKey& key) {
-    visit_scanned_key(key.point, key.elements, rect, covered, out);
+  // keys_scanned, exactly as if it had never been published). A replica
+  // scan reads the live store too: a valid entry's keys are the store's
+  // keys in its segment, and an entry invalidated or dropped while the scan
+  // was in flight must answer with the current keys anyway.
+  store_.scan(req.segment.lo, req.segment.hi, [&](u128, const StoredKey& key) {
+    ++keys_scanned;
+    if (!req.covered && !ex.rect.contains(key.point)) return;
+    ++keys_matched;
+    matches += key.elements.size();
+    if (record != nullptr) {
+      for (const DataElement& e : key.elements) {
+        record->partial.fold(e);
+        // What shipping this element instead would have cost; feeds the
+        // bytes_saved counter, so skip the serializer when obs is off.
+        if constexpr (obs::kEnabled)
+          record->ship_bytes += element_wire_size(e);
+      }
+      return;
+    }
+    for (const DataElement& e : key.elements) payload += element_wire_size(e);
+    ex.results.insert(ex.results.end(), key.elements.begin(),
+                      key.elements.end());
   });
-}
+  if (req.replica != 0) {
+    // Credit the entry (if it still exists) with the load it absorbed.
+    const auto it = replica_cache_.find(req.replica);
+    if (it != replica_cache_.end())
+      it->second.serves->fetch_add(keys_matched, std::memory_order_relaxed);
+  }
 
-void SquidSystem::note_replica_serve(std::uint64_t id,
-                                     std::uint64_t matched) const {
-  if (id == 0) return;
-  const auto it = replica_cache_.find(id);
-  if (it != replica_cache_.end())
-    it->second.serves->fetch_add(matched, std::memory_order_relaxed);
-}
-
-void SquidSystem::sweep_scan(const QueryExec& ex, const msg::ScanRequest& scan,
-                             ScanBuffer& out) const {
-  out.at = scan.at;
-  out.segment = scan.segment;
-  out.event = scan.event;
-  out.span = scan.span;
-  out.slot = scan.slot;
-  // Aggregate scans (scan.agg.kind != kNone) fold into the record — the
-  // pushdown of DESIGN.md 4g; element scans collect into out.elements.
-  out.agg.at = scan.at;
-  out.agg.partial.spec = scan.agg;
-  // `out.elements` may already hold earlier results lent by the caller;
-  // this scan's reply covers only what it appends.
-  const std::size_t first = out.elements.size();
-  // A replica scan reads the live store too: a valid entry's keys are the
-  // store's keys in its segment, and an entry invalidated or dropped while
-  // the scan was in flight must answer with the current keys anyway.
-  scan_segment(ex.rect, scan.segment, scan.covered, out);
-  note_replica_serve(scan.replica, out.keys_matched);
-  if (scan.agg.kind != AggregateKind::kNone) return;
-  // Reply-path accounting: this scan site answers the origin directly with
-  // one reply (split into MTU frames), measured through the real
-  // serializer. Sums of per-scan terms, so mode-independent.
-  std::size_t payload = 0;
-  for (std::size_t k = first; k < out.elements.size(); ++k)
-    payload += element_wire_size(out.elements[k]);
-  const std::size_t shipped = out.elements.size() - first;
-  out.reply_bytes =
-      reply_wire_size(scan.at, ex.origin, shipped, shipped, payload);
-  out.reply_frames = frames_of(out.reply_bytes);
+  ex.processing.push_back(req.at);
+  if (keys_matched > 0) ex.data_nodes.push_back(req.at);
+  std::size_t frames = 0;
+  if (record == nullptr) {
+    // Reply-path accounting: this scan site answers the origin directly
+    // with one reply (split into MTU frames), measured through the real
+    // serializer. Sums of per-scan terms, so mode-independent.
+    const std::size_t bytes =
+        reply_wire_size(req.at, ex.origin, matches, matches, payload);
+    frames = frames_of(bytes);
+    ex.bytes_shipped += bytes;
+    ex.reply_messages += frames;
+  }
+  if (ex.telemetry != nullptr) {
+    if (record == nullptr)
+      ex.telemetry->record(req.at, obs::LoadKind::kReplyForwarded, frames,
+                           ex.tick(req.event));
+    ex.telemetry->record(req.at, obs::LoadKind::kScanHit, keys_matched,
+                         ex.tick(req.event));
+  }
+  if (ex.trace) {
+    const std::int32_t id = ex.trace->begin(obs::SpanKind::kLocalScan, req.span,
+                                            req.event, ex.tick(req.event));
+    obs::Span& s = ex.trace->at(id);
+    s.node = req.at;
+    s.range_lo = req.segment.lo;
+    s.range_hi = req.segment.hi;
+    s.keys_scanned = keys_scanned;
+    s.keys_matched = keys_matched;
+    s.matches = matches;
+  }
 }
 
 void SquidSystem::plan_chain(QueryExec& ex, NodeId at, NodeId pred,

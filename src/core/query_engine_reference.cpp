@@ -85,14 +85,17 @@ struct SquidSystem::RefQueryContext {
     sim::Time penalty = 0; ///< backoff waits + delivery delay, in ticks
   };
 
+  /// The seed's retry policy: resends per lost leg, and the backoff base.
+  static constexpr unsigned kRefSendRetries = 3;
+  static constexpr sim::Time kRefRetryBackoff = 2;
+
   /// Deliver one message leg from -> to under the injector, resending with
-  /// exponential backoff (cfg.retry_backoff << attempt) up to
-  /// cfg.send_retries times. Null injector: immediate clean delivery.
-  Leg attempt_leg(sim::FaultInjector* fault, const SquidConfig& cfg,
-                  NodeId from, NodeId to) {
+  /// exponential backoff (kRefRetryBackoff << attempt) up to
+  /// kRefSendRetries times. Null injector: immediate clean delivery.
+  Leg attempt_leg(sim::FaultInjector* fault, NodeId from, NodeId to) {
     Leg out;
     if (fault == nullptr) return out;
-    const unsigned attempts = 1 + cfg.send_retries;
+    const unsigned attempts = 1 + kRefSendRetries;
     for (unsigned a = 0; a < attempts; ++a) {
       const sim::FaultInjector::Delivery verdict = fault->decide(from, to);
       if (verdict.delivered) {
@@ -101,7 +104,7 @@ struct SquidSystem::RefQueryContext {
         return out;
       }
       if (a + 1 < attempts) {
-        out.penalty += cfg.retry_backoff << a;
+        out.penalty += kRefRetryBackoff << a;
         ++out.resends;
       }
     }
@@ -183,7 +186,7 @@ void SquidSystem::ref_scan_local(RefQueryContext& ctx, NodeId at,
   std::uint64_t matched = 0;
   std::uint64_t collected = 0;
   // The oracle reads the store through the same merged-tier walk as the
-  // runtime's scan_segment; the planning it freezes is untouched.
+  // runtime's SquidSystem::scan; the planning it freezes is untouched.
   store_.scan(seg.lo, seg.hi, [&](u128, const StoredKey& key) {
     ++scanned;
     if (!covered && !ctx.rect.contains(key.point)) return;
@@ -229,7 +232,7 @@ void SquidSystem::ref_collect_segment(RefQueryContext& ctx, NodeId at,
     ctx.messages += 1;
     ctx.routing.insert(r.path.begin(), r.path.end());
     const RefQueryContext::Leg leg =
-        ctx.attempt_leg(fault_, config_, at, r.dest);
+        ctx.attempt_leg(fault_, at, r.dest);
     const sim::Time sent = ctx.trace ? ctx.tick(event) : 0;
     const std::int32_t arrive = ctx.add_event(
         event, r.hops() + static_cast<std::size_t>(leg.penalty));
@@ -263,7 +266,7 @@ void SquidSystem::ref_collect_segment(RefQueryContext& ctx, NodeId at,
     --ctx.dispatch_budget;
     const NodeId next = ring_.successor_of((at + 1) & ring_.id_mask());
     const RefQueryContext::Leg leg =
-        ctx.attempt_leg(fault_, config_, at, next);
+        ctx.attempt_leg(fault_, at, next);
     ctx.messages += 1;
     ctx.routing.insert(at);
     ctx.routing.insert(next);
@@ -393,7 +396,7 @@ void SquidSystem::ref_dispatch_remote(
     }
 
     const RefQueryContext::Leg leg =
-        ctx.attempt_leg(fault_, config_, from, dest);
+        ctx.attempt_leg(fault_, from, dest);
     if (!leg.delivered) {
       ctx.add_event(event, static_cast<std::size_t>(leg.penalty));
       ctx.fail_leg(leg.resends, leg.penalty, 1, dest, event, dspan);
@@ -576,7 +579,7 @@ QueryResult SquidSystem::query_reference(const keyword::Query& query,
       ctx.messages += 1;
       ctx.routing.insert(r.path.begin(), r.path.end());
       const RefQueryContext::Leg leg =
-          ctx.attempt_leg(fault_, config_, origin, r.dest);
+          ctx.attempt_leg(fault_, origin, r.dest);
       const std::int32_t event =
           ctx.add_event(0, r.hops() + static_cast<std::size_t>(leg.penalty));
       std::int32_t span = root;

@@ -4,12 +4,10 @@
 // methods (they read ring/store/refiner state), dispatched by
 // SquidSystem::deliver; this file owns the generic runtime: scheduling
 // arrivals, counting outstanding work, and the send and fault-aware leg
-// accounting shared by every planning site (forward, dispatch_head,
-// absorb_scan).
+// accounting shared by every planning site (forward, dispatch_head).
 
 #include "squid/core/runtime.hpp"
 
-#include <iterator>
 #include <utility>
 
 #include "squid/core/system.hpp"
@@ -17,13 +15,12 @@
 
 namespace squid::core {
 
-QueryExec::Leg QueryExec::judge_leg(sim::Engine& engine,
-                                    const SquidConfig& config, NodeId from,
+QueryExec::Leg QueryExec::judge_leg(sim::Engine& engine, NodeId from,
                                     NodeId to) {
   Leg out;
   sim::FaultInjector* fault = engine.fault_injector();
   if (fault == nullptr) return out;
-  const unsigned attempts = 1 + config.send_retries;
+  const unsigned attempts = 1 + kSendRetries;
   for (unsigned a = 0; a < attempts; ++a) {
     const sim::SendOutcome verdict = engine.admit(from, to);
     if (verdict.delivered) {
@@ -32,17 +29,13 @@ QueryExec::Leg QueryExec::judge_leg(sim::Engine& engine,
       return out;
     }
     if (a + 1 < attempts) {
-      out.penalty += config.retry_backoff << a;
+      out.penalty += kRetryBackoff << a;
       ++out.resends;
     }
   }
   out.delivered = false;
   fault->report_timeout(from, to);
   return out;
-}
-
-QueryExec::Leg QueryExec::attempt_leg(NodeId from, NodeId to) {
-  return judge_leg(*engine, sys->config(), from, to);
 }
 
 void QueryExec::pay_leg(const Leg& leg, NodeId to, std::int32_t event,
@@ -101,7 +94,7 @@ QueryExec::Arrival QueryExec::forward(std::span<const NodeId> path,
   const NodeId to = path.back();
   const std::size_t hops = path.size() - 1;
   count_send(*this, path, tick(event));
-  const Leg leg = attempt_leg(from, to);
+  const Leg leg = judge_leg(*engine, from, to);
   const std::int32_t arrive =
       add_event(event, hops + static_cast<std::size_t>(leg.penalty));
   if (trace) {
@@ -148,7 +141,7 @@ QueryExec::Leg QueryExec::dispatch_head(std::span<const NodeId> path,
     s.messages = 1;
     s.end = s.start + hops;
   }
-  const Leg leg = attempt_leg(from, to);
+  const Leg leg = judge_leg(*engine, from, to);
   if (leg.delivered) {
     pay_leg(leg, to, event, span);
     note_reply_parent(to, from);
@@ -159,42 +152,6 @@ QueryExec::Leg QueryExec::dispatch_head(std::span<const NodeId> path,
     fail_leg(leg.resends, leg.penalty, 1, to, event, span);
   }
   return leg;
-}
-
-void QueryExec::absorb_scan(ScanBuffer& scan) {
-  processing.push_back(scan.at);
-  if (scan.keys_matched > 0) data_nodes.push_back(scan.at);
-  if (agg) {
-    agg_scans[scan.slot] = std::move(scan.agg);
-  } else {
-    if (results.empty()) {
-      results = std::move(scan.elements);
-    } else {
-      results.insert(results.end(),
-                     std::make_move_iterator(scan.elements.begin()),
-                     std::make_move_iterator(scan.elements.end()));
-    }
-    bytes_shipped += scan.reply_bytes;
-    reply_messages += scan.reply_frames;
-  }
-  if (telemetry != nullptr) {
-    if (!agg)
-      telemetry->record(scan.at, obs::LoadKind::kReplyForwarded,
-                        scan.reply_frames, tick(scan.event));
-    telemetry->record(scan.at, obs::LoadKind::kScanHit, scan.keys_matched,
-                      tick(scan.event));
-  }
-  if (trace) {
-    const std::int32_t id = trace->begin(obs::SpanKind::kLocalScan, scan.span,
-                                         scan.event, tick(scan.event));
-    obs::Span& s = trace->at(id);
-    s.node = scan.at;
-    s.range_lo = scan.segment.lo;
-    s.range_hi = scan.segment.hi;
-    s.keys_scanned = scan.keys_scanned;
-    s.keys_matched = scan.keys_matched;
-    s.matches = scan.matches;
-  }
 }
 
 namespace {

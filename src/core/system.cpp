@@ -141,8 +141,10 @@ void SquidSystem::publish_batch(const std::vector<DataElement>& elements) {
     for (const auto& [index, pos] : order) touched.push_back(index);
     invalidate_replicas(touched); // already index-sorted
   }
-  obs::bump("squid.system.publishes", elements.size());
   if constexpr (obs::kEnabled) {
+    static obs::Counter& publishes =
+        obs::Registry::global().counter("squid.system.publishes");
+    publishes.add(elements.size());
     if (telemetry_ != nullptr) {
       // `order` is index-sorted, so elements landing on one owner are
       // consecutive: run-length the owner lookups and record one event per
@@ -178,8 +180,10 @@ bool SquidSystem::unpublish(const DataElement& element) {
   // O(log K + |delta|) instead of the flat store's O(K) erase.
   if (elements.empty()) mutate_store([&] { store_.erase(index); });
   if (!replica_cache_.empty()) invalidate_replicas({&index, 1});
-  obs::bump("squid.system.unpublishes");
   if constexpr (obs::kEnabled) {
+    static obs::Counter& unpublishes =
+        obs::Registry::global().counter("squid.system.unpublishes");
+    unpublishes.add(1);
     if (telemetry_ != nullptr)
       telemetry_->record_now(owner_of(index), obs::LoadKind::kRetract, 1);
   }

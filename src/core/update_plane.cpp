@@ -54,7 +54,7 @@ UpdateResult plan_op(const SquidSystem& sys, const UpdateOp& op,
     sim::FaultInjector injector(sim::fork_plan(*faults, seq));
     sim::Engine eng(0);
     eng.set_fault_injector(&injector);
-    leg = QueryExec::judge_leg(eng, sys.config(), op.origin, route.dest);
+    leg = QueryExec::judge_leg(eng, op.origin, route.dest);
   }
   out.delivered = leg.delivered;
   out.retries = leg.resends;
@@ -101,7 +101,13 @@ UpdateRun apply_updates(SquidSystem& sys, const std::vector<UpdateOp>& ops,
     run.bytes += r.bytes;
     run.makespan = std::max(run.makespan, r.completed_at);
   }
-  if (retracts > 0) obs::bump("squid.system.retracts", retracts);
+  if constexpr (obs::kEnabled) {
+    if (retracts > 0) {
+      static obs::Counter& retracted =
+          obs::Registry::global().counter("squid.system.retracts");
+      retracted.add(retracts);
+    }
+  }
   return run;
 }
 

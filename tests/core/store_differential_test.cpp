@@ -192,7 +192,7 @@ TEST(StoreDifferential, DeliveryModeNeverChangesFinalState) {
   // One op stream, three worker counts: identical per-op results —
   // verdicts, costs and completion ticks — and identical final stores
   // (clause 3 of the determinism contract in core/update.hpp).
-  // Heavy drop rate: with send_retries=3 a loss needs four straight drops,
+  // Heavy drop rate: with kSendRetries = 3 a loss needs four straight drops,
   // so 0.5 yields a real lost population (~6% of ops) for the equality
   // check below.
   sim::FaultPlan plan;
