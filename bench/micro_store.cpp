@@ -1,5 +1,6 @@
 // Micro-benchmarks: the key store's data plane — corpus loading, contiguous
-// segment scans, and the rank queries behind load probes and balancing.
+// segment scans, routed update batches, and the rank queries behind load
+// probes and balancing.
 
 #include <benchmark/benchmark.h>
 
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "squid/core/system.hpp"
+#include "squid/core/update.hpp"
 #include "squid/workload/corpus.hpp"
 
 namespace {
@@ -140,6 +142,39 @@ void BM_SingleKeyUpdate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2); // one publish, one retract
 }
 
+/// One routed update batch on the caller's thread (DESIGN.md 4j): Arg0 =
+/// resident keys K, Arg1 = ops per batch. A batch retracts and republishes
+/// stored elements, so the resident key set stays at K; a one-op batch
+/// alternates a retract and a republish of one element. The commit takes
+/// the store's in-place path while the batch's distinct keys stay under
+/// the merge threshold (4*sqrt(K): 565 at 20k, 1264 at 100k) and one fold
+/// above it.
+void BM_UpdateBatch(benchmark::State& state) {
+  const auto& fx =
+      store_fixture(static_cast<std::size_t>(state.range(0)), 1000);
+  const auto ops = static_cast<std::size_t>(state.range(1));
+  core::SquidSystem sys(fx.corpus->make_space());
+  sys.publish_batch(fx.elements);
+  Rng rng(4242);
+  sys.build_network(1000, rng);
+  std::vector<core::UpdateOp> batches[2];
+  for (std::size_t i = 0; batches[0].size() < ops; ++i) {
+    const core::DataElement& e = fx.elements[i * 7919 % fx.elements.size()];
+    const auto origin = sys.ring().random_node(rng);
+    batches[0].push_back(core::UpdateOp::retract(e, origin));
+    (ops == 1 ? batches[1] : batches[0])
+        .push_back(core::UpdateOp::publish(e, origin));
+  }
+  batches[0].resize(ops);
+  if (ops > 1) batches[1] = batches[0];
+  std::size_t round = 0;
+  for (auto _ : state) {
+    const core::UpdateRun run = core::apply_updates(sys, batches[round++ % 2]);
+    benchmark::DoNotOptimize(run.applied);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(ops));
+}
+
 /// Median-split identifier of one node's key arc (balancing split point).
 void BM_MedianSplit(benchmark::State& state) {
   const auto& fx =
@@ -172,6 +207,16 @@ BENCHMARK(BM_SingleKeyUpdate)
     ->Args({100000, 1})
     ->Args({20000, 0})
     ->Args({100000, 0});
+// {keys, ops per batch}: one op, a batch under the merge threshold, and a
+// geo-motion-sized tick.
+BENCHMARK(BM_UpdateBatch)
+    ->Args({20000, 1})
+    ->Args({20000, 2000})
+    ->Args({20000, 40000})
+    ->Args({100000, 1})
+    ->Args({100000, 2000})
+    ->Args({100000, 40000})
+    ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_NodeLoads)->Arg(100000)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_LoadRank)->Arg(100000);
 BENCHMARK(BM_MedianSplit)->Arg(100000);

@@ -37,6 +37,9 @@ namespace squid::core {
 struct ParallelQuerySpec; // core/parallel.hpp
 struct ParallelOptions;   // core/parallel.hpp
 struct ParallelRun;       // core/parallel.hpp
+struct UpdateOp;          // core/update.hpp
+struct UpdateOptions;     // core/update.hpp
+struct UpdateRun;         // core/update.hpp
 
 class SquidSystem {
 public:
@@ -256,9 +259,10 @@ public:
   // dispatch_clusters consults it before routing — a dispatch whose cluster
   // falls inside a *valid* entry is sent one hop to one of the entry's
   // replica peers (when that peer is still a ring member), which answers
-  // with a sweep of the cluster's segment. publish / publish_batch /
-  // unpublish are the only store writers, and each invalidates every entry
-  // whose segment it touches (valid=false) before returning: a valid
+  // with a sweep of the cluster's segment. The one store writer, commit
+  // (behind publish, publish_batch, unpublish and apply_updates),
+  // invalidates every entry whose segment its applied writes touch
+  // (valid=false) before returning: a valid
   // entry's keys are therefore exactly the live store's keys in its
   // segment, so replica scans read the live store and no entry holds a
   // copy. An invalid entry stops serving (dispatches fall back to routing)
@@ -344,8 +348,36 @@ private:
 
   /// Posts query messages; their delivery runs deliver() below.
   friend struct QueryExec;
+  /// Commits its delivered ops through commit() below.
+  friend UpdateRun apply_updates(SquidSystem& sys,
+                                 const std::vector<UpdateOp>& ops,
+                                 const UpdateOptions& opts);
 
   u128 index_of_element(const DataElement& element) const;
+
+  /// One write of a commit: publish (or retract) `*element`, whose keys map
+  /// to curve index `index`, as the caller's `seq`-th op. `applied` is the
+  /// commit's verdict: a publish always applies, a retract when the
+  /// element was stored.
+  struct StoreWrite {
+    u128 index = 0;
+    const DataElement* element = nullptr;
+    std::uint32_t seq = 0;
+    bool retract = false;
+    bool applied = false;
+  };
+  /// The one store writer (DESIGN.md 4j). Sorts `writes` by (index, seq)
+  /// and hands them to the store as one sorted batch, so each key's writes
+  /// run in submit order: last-writer-wins by (key, name), arrival order
+  /// within a key, every retract's verdict and element_count() all equal
+  /// those of sequential calls. Then, once per batch: invalidates the
+  /// replica entries the applied writes touch, flushes their kPublish /
+  /// kRetract load to the telemetry sampler, and adds to the
+  /// squid.system.publishes / unpublishes / retracts counters.
+  void commit(std::span<StoreWrite> writes);
+  /// commit's telemetry step: the applied writes' kPublish / kRetract load,
+  /// one event per (owner, kind), flushed to the sampler at its clock.
+  void record_writes(std::span<const StoreWrite> writes);
 
   /// Count of stored keys in the wrapped ring interval (from, to].
   std::size_t keys_in_range(NodeId from, NodeId to) const;
@@ -466,14 +498,10 @@ private:
   /// prefix). Counts a stale skip and returns null when only invalidated
   /// entries match.
   const ReplicaEntry* replica_serving(const sfc::ClusterNode& cluster) const;
-  /// Run one store mutation and credit the tier merges it triggered to
-  /// squid.store.merges (publish, publish_batch and unpublish; defined in
-  /// system.cpp, their only user).
-  template <class Mutate> void mutate_store(Mutate&& mutate);
-  /// Publish-side hook: invalidate every valid entry whose segment covers
-  /// a key of `touched` (index-sorted: one key for publish/unpublish, the
-  /// whole batch for publish_batch). One binary search per entry, and
-  /// entries are O(active hotspots).
+  /// Commit-side hook: invalidate every valid entry whose segment covers
+  /// a key of `touched` (index-sorted: the keys of a commit's applied
+  /// writes). One binary search per entry, and entries are O(active
+  /// hotspots).
   void invalidate_replicas(std::span<const u128> touched);
 
   keyword::KeywordSpace space_;

@@ -19,20 +19,23 @@
 //   1. Fault verdicts are a pure function of (plan, submit index): every
 //      op's legs are judged by an injector forked from the base plan by its
 //      seq (sim::fork_plan), at virtual time 0, whichever worker plans it.
-//   2. Delivered frames COMMIT to the store after planning, in global
-//      submit order — never mid-flight, so concurrent planning can neither
-//      race the store nor reorder writes.
+//   2. Delivered frames COMMIT to the store after planning, as one sorted
+//      pass that runs each key's ops in submit order — never mid-flight,
+//      so concurrent planning can neither race the store nor reorder the
+//      writes to any key.
 //   3. Therefore every per-op result (verdict, cost, completed_at), the
 //      makespan, the final store state — and every query result computed
 //      from it — are bit-identical across worker counts and thread
 //      interleavings, and the store equals applying the delivered subset
 //      directly.
 //
-// Commits go through SquidSystem::publish/unpublish, so hot-cluster replica
-// invalidation is synchronous (a retract can never leave a stale replica
-// serving — docs/LOAD_BALANCING.md) and telemetry/metrics fire at the
-// owner (squid.system.publishes / unpublishes / retracts, epoch-sampler
-// kPublish / kRetract load).
+// Commits go through SquidSystem's one store writer, the same one behind
+// publish/unpublish, carrying the curve index each op's plan computed. It
+// invalidates hot-cluster replicas before apply_updates returns (a retract
+// can never leave a stale replica serving — docs/LOAD_BALANCING.md), and
+// telemetry/metrics fire at the owner, once per batch
+// (squid.system.publishes / unpublishes / retracts, epoch-sampler kPublish
+// / kRetract load).
 
 #pragma once
 

@@ -19,9 +19,9 @@
 // tombstone list, folded back into the base by the store's deterministic
 // merge. contains / node are its find, successor_of / predecessor_of its
 // two neighbour reads (with the ring's wrap added here), random_node its
-// order statistic; build loads through insert_sorted and repair_all runs
-// inside bulk_update, both over the merged dense arrays, wiring whole
-// tables by rank arithmetic. Join inserts
+// order statistic; build loads its fresh ids through one sorted
+// write_sorted batch and repair_all runs inside bulk_update over the
+// merged dense arrays, wiring whole tables by rank arithmetic. Join inserts
 // and leave / fail erase through the store, so a load-balancing move
 // (leave plus rejoin) costs a delta shift, not an O(N) array shift.
 

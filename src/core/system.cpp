@@ -1,8 +1,10 @@
 #include "squid/core/system.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "squid/obs/metrics.hpp"
+#include "squid/obs/telemetry.hpp"
 #include "squid/sim/fault.hpp"
 #include "squid/util/require.hpp"
 
@@ -90,104 +92,115 @@ bool place_element(std::vector<DataElement>& slot, const DataElement& element) {
 
 } // namespace
 
-template <class Mutate> void SquidSystem::mutate_store(Mutate&& mutate) {
-  const std::uint64_t merges_before = store_.stats().merges;
-  mutate();
-  if (store_.stats().merges != merges_before)
-    obs::bump("squid.store.merges", store_.stats().merges - merges_before);
-}
-
 void SquidSystem::publish(const DataElement& element) {
-  const u128 index = index_of_element(element);
-  mutate_store([&] {
-    StoredKey& key = store_.obtain(index);
-    if (key.elements.empty()) key.point = space_.encode(element.keys);
-    if (place_element(key.elements, element)) ++element_count_;
-  });
-  if (!replica_cache_.empty()) invalidate_replicas({&index, 1});
-  if constexpr (obs::kEnabled) {
-    static obs::Counter& publishes =
-        obs::Registry::global().counter("squid.system.publishes");
-    publishes.add(1);
-    if (telemetry_ != nullptr)
-      telemetry_->record_now(owner_of(index), obs::LoadKind::kPublish, 1);
-  }
+  StoreWrite write{index_of_element(element), &element};
+  commit({&write, 1});
 }
 
 void SquidSystem::publish_batch(const std::vector<DataElement>& elements) {
-  if (elements.empty()) return;
-  // Arrival order within a key must match sequential publish, so sort the
-  // batch by (index, arrival position).
-  std::vector<std::pair<u128, std::size_t>> order;
-  order.reserve(elements.size());
+  SQUID_REQUIRE(elements.size() <= UINT32_MAX,
+                "publish_batch: batch too large for one commit");
+  std::vector<StoreWrite> writes;
+  writes.reserve(elements.size());
   for (std::size_t i = 0; i < elements.size(); ++i)
-    order.emplace_back(index_of_element(elements[i]), i);
-  std::sort(order.begin(), order.end());
-
-  std::size_t added = 0; // elements that were NEW, not last-write-wins hits
-  mutate_store([&] {
-    store_.insert_sorted(
-        order.size(), [&](std::size_t i) { return order[i].first; },
-        [&](std::size_t i, StoredKey& key) {
-          const DataElement& element = elements[order[i].second];
-          if (key.elements.empty()) key.point = space_.encode(element.keys);
-          if (place_element(key.elements, element)) ++added;
-        });
-  });
-  element_count_ += added;
-  if (!replica_cache_.empty()) {
-    std::vector<u128> touched;
-    touched.reserve(order.size());
-    for (const auto& [index, pos] : order) touched.push_back(index);
-    invalidate_replicas(touched); // already index-sorted
-  }
-  if constexpr (obs::kEnabled) {
-    static obs::Counter& publishes =
-        obs::Registry::global().counter("squid.system.publishes");
-    publishes.add(elements.size());
-    if (telemetry_ != nullptr) {
-      // `order` is index-sorted, so elements landing on one owner are
-      // consecutive: run-length the owner lookups and record one event per
-      // (owner, run) instead of per element.
-      NodeId owner = 0;
-      std::uint64_t run = 0;
-      for (const auto& entry : order) {
-        const NodeId o = owner_of(entry.first);
-        if (run > 0 && o == owner) {
-          ++run;
-          continue;
-        }
-        if (run > 0)
-          telemetry_->record_now(owner, obs::LoadKind::kPublish, run);
-        owner = o;
-        run = 1;
-      }
-      if (run > 0) telemetry_->record_now(owner, obs::LoadKind::kPublish, run);
-    }
-  }
+    writes.push_back({index_of_element(elements[i]), &elements[i],
+                      static_cast<std::uint32_t>(i)});
+  commit(writes);
 }
 
 bool SquidSystem::unpublish(const DataElement& element) {
-  const u128 index = index_of_element(element);
-  StoredKey* key = store_.find(index);
-  if (key == nullptr) return false;
-  auto& elements = key->elements;
-  const auto found = std::find(elements.begin(), elements.end(), element);
-  if (found == elements.end()) return false;
-  elements.erase(found);
-  --element_count_;
-  // The key vanishes with its last element: tombstoned in the tiered store,
-  // O(log K + |delta|) instead of the flat store's O(K) erase.
-  if (elements.empty()) mutate_store([&] { store_.erase(index); });
-  if (!replica_cache_.empty()) invalidate_replicas({&index, 1});
-  if constexpr (obs::kEnabled) {
-    static obs::Counter& unpublishes =
-        obs::Registry::global().counter("squid.system.unpublishes");
-    unpublishes.add(1);
-    if (telemetry_ != nullptr)
-      telemetry_->record_now(owner_of(index), obs::LoadKind::kRetract, 1);
+  StoreWrite write{index_of_element(element), &element, 0, true};
+  commit({&write, 1});
+  return write.applied;
+}
+
+void SquidSystem::commit(std::span<StoreWrite> writes) {
+  if (writes.empty()) return;
+  std::sort(writes.begin(), writes.end(),
+            [](const StoreWrite& a, const StoreWrite& b) {
+              return a.index != b.index ? a.index < b.index : a.seq < b.seq;
+            });
+  const std::uint64_t merges_before = store_.stats().merges;
+  store_.write_sorted(
+      writes.size(), [&](std::size_t i) { return writes[i].index; },
+      [&](std::size_t i, StoredKey& key) {
+        StoreWrite& w = writes[i];
+        auto& elements = key.elements;
+        if (!w.retract) {
+          if (elements.empty()) key.point = space_.encode(w.element->keys);
+          if (place_element(elements, *w.element)) ++element_count_;
+          w.applied = true;
+          return;
+        }
+        const auto found = std::find(elements.begin(), elements.end(),
+                                     *w.element);
+        if (found == elements.end()) return;
+        elements.erase(found);
+        --element_count_;
+        w.applied = true;
+      },
+      // The key vanishes with its last element: dropped from the store, or
+      // tombstoned on the single-key path.
+      [](const StoredKey& key) { return !key.elements.empty(); });
+
+  if (!replica_cache_.empty()) {
+    std::vector<u128> touched; // index-sorted, like `writes`
+    for (const StoreWrite& w : writes)
+      if (w.applied) touched.push_back(w.index);
+    invalidate_replicas(touched);
   }
-  return true;
+  if constexpr (obs::kEnabled) {
+    std::uint64_t publishes = 0, unpublishes = 0, retracts = 0;
+    for (const StoreWrite& w : writes) {
+      publishes += !w.retract;
+      retracts += w.retract;
+      unpublishes += w.retract && w.applied;
+    }
+    const std::uint64_t merges = store_.stats().merges - merges_before;
+    if (merges > 0) {
+      static obs::Counter& counter =
+          obs::Registry::global().counter("squid.store.merges");
+      counter.add(merges);
+    }
+    if (publishes > 0) {
+      static obs::Counter& counter =
+          obs::Registry::global().counter("squid.system.publishes");
+      counter.add(publishes);
+    }
+    if (unpublishes > 0) {
+      static obs::Counter& counter =
+          obs::Registry::global().counter("squid.system.unpublishes");
+      counter.add(unpublishes);
+    }
+    if (retracts > 0) {
+      static obs::Counter& counter =
+          obs::Registry::global().counter("squid.system.retracts");
+      counter.add(retracts);
+    }
+    if (telemetry_ != nullptr) record_writes(writes);
+  }
+}
+
+void SquidSystem::record_writes(std::span<const StoreWrite> writes) {
+  // `writes` is index-sorted, so the writes landing on one owner are
+  // consecutive: one event per (owner run, kind), not per write.
+  obs::QueryTelemetry events;
+  NodeId owner = 0;
+  std::uint64_t publishes = 0, retracts = 0;
+  const auto close_run = [&] {
+    events.record(owner, obs::LoadKind::kPublish, publishes, 0);
+    events.record(owner, obs::LoadKind::kRetract, retracts, 0);
+    publishes = retracts = 0;
+  };
+  for (const StoreWrite& w : writes) {
+    if (!w.applied) continue;
+    const NodeId o = owner_of(w.index);
+    if (o != owner) close_run();
+    owner = o;
+    (w.retract ? retracts : publishes) += 1;
+  }
+  close_run();
+  telemetry_->flush(events, 0);
 }
 
 // --- Hot-cluster replica cache (docs/LOAD_BALANCING.md) ---------------------
@@ -279,7 +292,11 @@ void SquidSystem::invalidate_replicas(std::span<const u128> touched) {
     if (hit == touched.end() || *hit > entry.segment.hi) continue;
     entry.valid = false;
     replica_counters_->invalidations.fetch_add(1, std::memory_order_relaxed);
-    obs::bump("squid.balance.replica.invalidations");
+    if constexpr (obs::kEnabled) {
+      static obs::Counter& invalidations = obs::Registry::global().counter(
+          "squid.balance.replica.invalidations");
+      invalidations.add(1);
+    }
   }
 }
 

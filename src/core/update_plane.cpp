@@ -3,18 +3,20 @@
 // Shape of a run, at every worker count:
 //
 //   plan (per op, any thread) ---------------------------------> commit
-//   route origin -> owner, judge the frame leg under a         global
-//   per-op forked injector, stamp the arrival tick             submit order
+//   map the key to its curve index, route origin -> owner,      one sorted
+//   judge the frame leg under a per-op forked injector, stamp   batch
+//   the arrival tick
 //
 // Planning is a pure function of (system state, op, seq, plan): routing
 // reads const ring state, and the frame leg is judged by a PRIVATE engine
 // at time 0 with an injector forked by seq — so every op's result is
 // identical at every worker count, and the workers touch no shared mutable
-// state. Commits happen after planning, on the caller's thread, in global
-// submit order, through SquidSystem::publish / unpublish — which is where
-// replica invalidation, telemetry, and the registry counters fire. The
-// worker count picks the threads; it can never change a result or the
-// final state.
+// state. After planning, the delivered ops go to SquidSystem::commit on the
+// caller's thread as one batch, carrying the curve index each op's plan
+// computed: the store applies each key's ops in submit order in one sorted
+// pass, then replica invalidation, telemetry and the registry counters
+// fire once for the batch. The worker count picks the threads; it can
+// never change a result or the final state.
 
 #include "squid/core/update.hpp"
 
@@ -23,7 +25,6 @@
 #include "squid/core/parallel.hpp"
 #include "squid/core/serialize.hpp"
 #include "squid/core/system.hpp"
-#include "squid/obs/metrics.hpp"
 #include "squid/sim/fault.hpp"
 #include "squid/util/require.hpp"
 
@@ -37,9 +38,10 @@ namespace {
 /// verdict stream depends only on (plan, seq), never on the worker. Fills
 /// everything but `applied`, which the commit decides.
 UpdateResult plan_op(const SquidSystem& sys, const UpdateOp& op,
-                     std::uint64_t seq, const sim::FaultPlan* faults) {
+                     std::uint64_t seq, const sim::FaultPlan* faults,
+                     u128& index) {
   UpdateResult out;
-  const u128 index = sys.curve().index_of(sys.space().encode(op.element.keys));
+  index = sys.curve().index_of(sys.space().encode(op.element.keys));
   const overlay::RouteResult route = sys.ring().route(op.origin, index);
   out.hops = route.hops();
   if (!route.ok) return out; // unroutable: no frame ever transmitted
@@ -70,29 +72,32 @@ UpdateResult plan_op(const SquidSystem& sys, const UpdateOp& op,
 UpdateRun apply_updates(SquidSystem& sys, const std::vector<UpdateOp>& ops,
                         const UpdateOptions& opts) {
   SQUID_REQUIRE(opts.shards >= 1, "apply_updates needs at least one worker");
+  SQUID_REQUIRE(ops.size() <= UINT32_MAX,
+                "apply_updates: batch too large for one commit");
   UpdateRun run;
   run.results.resize(ops.size());
+  std::vector<SquidSystem::StoreWrite> writes(ops.size());
 
-  // Plan every op into its own slot, spread over the worker threads.
+  // Plan every op into its own slot, spread over the worker threads; the
+  // op's store write keeps the curve index its plan computed.
   for_each_index(opts.shards, ops.size(), [&](std::size_t seq) {
-    run.results[seq] = plan_op(sys, ops[seq], seq, opts.faults);
+    SquidSystem::StoreWrite& w = writes[seq];
+    run.results[seq] = plan_op(sys, ops[seq], seq, opts.faults, w.index);
+    w.element = &ops[seq].element;
+    w.seq = static_cast<std::uint32_t>(seq);
+    w.retract = ops[seq].kind == UpdateOp::Kind::kRetract;
   });
 
-  // Commit: the post-planning safe point. Delivered frames apply in GLOBAL
-  // submit order through publish/unpublish — replica invalidation,
-  // telemetry, and counters all fire here, on the caller's thread.
-  std::size_t retracts = 0;
-  for (std::size_t seq = 0; seq < ops.size(); ++seq) {
-    UpdateResult& r = run.results[seq];
-    if (r.delivered) {
-      if (ops[seq].kind == UpdateOp::Kind::kPublish) {
-        sys.publish(ops[seq].element);
-        r.applied = true;
-      } else {
-        r.applied = sys.unpublish(ops[seq].element);
-        ++retracts;
-      }
-    }
+  // Commit: the post-planning safe point. The delivered frames go to the
+  // store as one batch, on the caller's thread.
+  std::erase_if(writes, [&](const SquidSystem::StoreWrite& w) {
+    return !run.results[w.seq].delivered;
+  });
+  sys.commit(writes);
+  for (const SquidSystem::StoreWrite& w : writes)
+    run.results[w.seq].applied = w.applied;
+
+  for (const UpdateResult& r : run.results) {
     run.delivered += r.delivered ? 1 : 0;
     run.applied += r.applied ? 1 : 0;
     run.lost += r.delivered ? 0 : 1;
@@ -100,13 +105,6 @@ UpdateRun apply_updates(SquidSystem& sys, const std::vector<UpdateOp>& ops,
     run.retries += r.retries;
     run.bytes += r.bytes;
     run.makespan = std::max(run.makespan, r.completed_at);
-  }
-  if constexpr (obs::kEnabled) {
-    if (retracts > 0) {
-      static obs::Counter& retracted =
-          obs::Registry::global().counter("squid.system.retracts");
-      retracted.add(retracts);
-    }
   }
   return run;
 }

@@ -265,9 +265,10 @@ void ChordRing::build(std::size_t count, Rng& rng) {
     }
   }
   std::sort(fresh.begin(), fresh.end());
-  members_.insert_sorted(
+  members_.write_sorted(
       fresh.size(), [&](std::size_t i) { return fresh[i]; },
-      [&](std::size_t i, ChordNode& node) { node.id = fresh[i]; });
+      [&](std::size_t i, ChordNode& node) { node.id = fresh[i]; },
+      [](const ChordNode&) { return true; });
   if constexpr (obs::kEnabled) RingMetrics::get().joins.add(fresh.size());
   repair_all();
 }

@@ -4,7 +4,9 @@
 // store that is query-bit-identical to a from-scratch publish_batch build
 // of the surviving elements. The matrix sweeps curve family, finger base,
 // aggregation, and owner caching so the equivalence is pinned across every
-// query-plane configuration, not just the paper default.
+// query-plane configuration, not just the paper default. A brute-force
+// per-op model (support/differential.hpp) checks the sorted batch commit
+// on hostile batches directly.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +19,8 @@
 
 #include "squid/core/system.hpp"
 #include "squid/core/update.hpp"
+#include "squid/obs/telemetry.hpp"
+#include "squid/sfc/refine.hpp"
 #include "squid/sim/fault.hpp"
 #include "support/differential.hpp"
 
@@ -340,6 +344,262 @@ TEST(StoreDifferential, TieredAndFlatCapsAnswerIdentically) {
   EXPECT_GT(tiered.store_stats().merges, 0u);
   Rng origins(0x0429);
   expect_twin_equal(tiered, flat, origins);
+}
+
+/// A 2-d numeric space of 32 x 32 buckets: positions in one bucket share a
+/// key, so a same-name republish there replaces content in place.
+keyword::KeywordSpace grid_space() {
+  return keyword::KeywordSpace(
+      {keyword::NumericCodec(0, 32, 5), keyword::NumericCodec(0, 32, 5)});
+}
+
+/// Hostile update batches over a pool of named elements at a pool of
+/// bucket positions. Each op is one of: a publish, a retract of a stored
+/// element, a double retract, a retract before its own publish, a
+/// same-name republish at the same key (new content) or at another key, a
+/// retract of an element never published, and an identical republish.
+class HostileBatches {
+public:
+  explicit HostileBatches(std::uint64_t seed) : rng_(seed) {
+    for (int c = 0; c < 150; ++c)
+      cells_.emplace_back(rng_.below(32), rng_.below(32));
+  }
+
+  DataElement fresh_element() {
+    return at_cell(pick_cell(), "e" + std::to_string(rng_.below(60)));
+  }
+
+  std::vector<UpdateOp> batch(const testing_support::StoreModel& model,
+                              SquidSystem& sys, std::size_t size) {
+    std::vector<DataElement> stored;
+    for (const auto& [index, elements] : model.keys)
+      stored.insert(stored.end(), elements.begin(), elements.end());
+    std::vector<UpdateOp> ops;
+    const auto origin = [&] { return sys.ring().random_node(rng_); };
+    while (ops.size() < size) {
+      const auto kind = rng_.below(8);
+      if (stored.empty() || kind == 0) {
+        ops.push_back(UpdateOp::publish(fresh_element(), origin()));
+        continue;
+      }
+      const DataElement& victim = stored[rng_.below(stored.size())];
+      switch (kind) {
+      case 1: // retract a stored element
+        ops.push_back(UpdateOp::retract(victim, origin()));
+        break;
+      case 2: // double retract
+        ops.push_back(UpdateOp::retract(victim, origin()));
+        ops.push_back(UpdateOp::retract(victim, origin()));
+        break;
+      case 3: { // retract before its own publish
+        const DataElement e = fresh_element();
+        ops.push_back(UpdateOp::retract(e, origin()));
+        ops.push_back(UpdateOp::publish(e, origin()));
+        break;
+      }
+      case 4: // same name, same bucket, new content
+        ops.push_back(UpdateOp::publish(jittered(victim), origin()));
+        break;
+      case 5: // same name at another key
+        ops.push_back(UpdateOp::publish(at_cell(pick_cell(), victim.name),
+                                        origin()));
+        break;
+      case 6: // never published
+        ops.push_back(UpdateOp::retract(
+            at_cell(pick_cell(), "ghost" + std::to_string(rng_.below(9))),
+            origin()));
+        break;
+      default: // identical republish
+        ops.push_back(UpdateOp::publish(victim, origin()));
+      }
+    }
+    return ops;
+  }
+
+  Rng& rng() { return rng_; }
+
+private:
+  std::pair<std::uint64_t, std::uint64_t> pick_cell() {
+    return cells_[rng_.below(cells_.size())];
+  }
+  DataElement at_cell(std::pair<std::uint64_t, std::uint64_t> cell,
+                      std::string name) {
+    const auto coord = [&](std::uint64_t c) {
+      return static_cast<double>(c) + 0.05 + 0.9 * rng_.uniform();
+    };
+    return DataElement{std::move(name),
+                       {coord(cell.first), coord(cell.second)}};
+  }
+  DataElement jittered(const DataElement& e) {
+    const auto cell = [](const keyword::Token& t) {
+      return static_cast<std::uint64_t>(std::get<double>(t));
+    };
+    return at_cell({cell(e.keys[0]), cell(e.keys[1])}, e.name);
+  }
+
+  Rng rng_;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> cells_;
+};
+
+TEST(StoreDifferential, CommitMatchesPerOpModelOnHostileBatches) {
+  // Every commit path (publish_batch, apply_updates, unpublish) against the
+  // per-op model: each op's applied verdict, element_count, every key's
+  // elements in arrival order, the sampler's per-node publish and retract
+  // loads, and which replica entries the applied writes invalidate. Batch
+  // sizes straddle the store's merge threshold, so both the in-place and
+  // the fold path run under the sqrt policy; cap 1 folds every batch.
+  sim::FaultPlan plan;
+  plan.seed = 0xbad5;
+  plan.drop_probability = 0.3;
+  plan.duplicate_probability = 0.05;
+
+  for (const std::size_t cap : {std::size_t{0}, std::size_t{1}}) {
+    for (const unsigned shards : kWorkerCounts) {
+      for (const bool faulty : {false, true}) {
+        SCOPED_TRACE("cap" + std::to_string(cap) + "/S" +
+                     std::to_string(shards) + (faulty ? "/faults" : "/clean"));
+        SquidConfig config;
+        config.store_delta_cap = cap;
+        SquidSystem sys(grid_space(), config);
+        Rng net(0x9e0);
+        sys.build_network(24, net);
+        std::vector<NodeId> nodes;
+        for (const auto& [id, load] : sys.node_loads()) nodes.push_back(id);
+        obs::EpochSampler sampler(1000);
+        sys.set_telemetry(&sampler);
+        std::map<NodeId, std::pair<std::uint64_t, std::uint64_t>> loads;
+
+        HostileBatches gen(0x4057 + shards);
+        StoreModel model;
+        const auto index_of = [&](const DataElement& e) {
+          return sys.curve().index_of(sys.space().encode(e.keys));
+        };
+
+        // A hostile load: repeated names and identical elements in one
+        // publish_batch.
+        std::vector<DataElement> load;
+        for (int i = 0; i < 240; ++i)
+          load.push_back(i % 5 == 4 ? load[gen.rng().below(load.size())]
+                                    : gen.fresh_element());
+        sys.publish_batch(load);
+        for (const DataElement& e : load) {
+          model.publish(index_of(e), e);
+          ++loads[brute_owner(nodes, index_of(e))].first;
+        }
+
+        sfc::ClusterRefiner refiner(sys.curve());
+        std::vector<std::pair<std::uint64_t, sfc::Segment>> entries;
+        for (const auto& [level, prefix] :
+             {std::pair{1u, 0u}, {1u, 3u}, {2u, 5u}, {2u, 9u}, {3u, 40u}})
+          entries.emplace_back(
+              sys.install_replica(level, prefix, {nodes[level]}),
+              refiner.segment_of(sfc::ClusterNode{prefix, level}));
+
+        UpdateOptions opts;
+        opts.shards = shards;
+        opts.faults = faulty ? &plan : nullptr;
+        bool saw_in_place = false, saw_fold = false;
+        std::size_t missed_retracts = 0, invalidated_total = 0,
+                    stayed_valid = 0;
+        for (int round = 0; round < 12; ++round) {
+          const std::size_t size = round % 2 == 0
+                                       ? 8 + gen.rng().below(20)
+                                       : 150 + gen.rng().below(150);
+          const std::vector<UpdateOp> ops = gen.batch(model, sys, size);
+          for (const auto& entry : entries) sys.refresh_replica(entry.first);
+          const std::uint64_t invalidations_before =
+              sys.replica_stats().invalidations;
+          const std::uint64_t merges_before = sys.store_stats().merges;
+
+          const UpdateRun run = apply_updates(sys, ops, opts);
+          (sys.store_stats().merges == merges_before ? saw_in_place
+                                                     : saw_fold) = true;
+
+          std::vector<u128> touched;
+          for (std::size_t i = 0; i < ops.size(); ++i) {
+            const UpdateResult& r = run.results[i];
+            if (!r.delivered) {
+              EXPECT_FALSE(r.applied) << "op " << i;
+              continue;
+            }
+            const u128 index = index_of(ops[i].element);
+            const bool retract = ops[i].kind == UpdateOp::Kind::kRetract;
+            bool applied = true;
+            if (retract) {
+              applied = model.retract(index, ops[i].element);
+            } else {
+              model.publish(index, ops[i].element);
+            }
+            ASSERT_EQ(r.applied, applied) << "round " << round << " op " << i;
+            if (!applied) {
+              ++missed_retracts;
+              continue;
+            }
+            touched.push_back(index);
+            auto& load_of = loads[brute_owner(nodes, index)];
+            ++(retract ? load_of.second : load_of.first);
+          }
+          if (!faulty) {
+            EXPECT_EQ(run.delivered, ops.size());
+          }
+
+          std::uint64_t invalidated = 0;
+          for (const auto& [id, segment] : entries) {
+            const sfc::Segment seg = segment;
+            const bool hit =
+                std::any_of(touched.begin(), touched.end(), [&](u128 k) {
+                  return seg.lo <= k && k <= seg.hi;
+                });
+            EXPECT_EQ(sys.replica_valid(id), !hit) << "round " << round;
+            invalidated += hit ? 1 : 0;
+          }
+          invalidated_total += invalidated;
+          stayed_valid += entries.size() - invalidated;
+          EXPECT_EQ(sys.replica_stats().invalidations - invalidations_before,
+                    invalidated);
+
+          // A direct retract of a stored element and of a ghost.
+          if (!model.keys.empty()) {
+            const DataElement victim = model.keys.begin()->second.front();
+            const u128 index = index_of(victim);
+            ASSERT_TRUE(sys.unpublish(victim));
+            model.retract(index, victim);
+            ++loads[brute_owner(nodes, index)].second;
+          }
+          EXPECT_FALSE(sys.unpublish(DataElement{"ghost", {1.5, 1.5}}));
+
+          ASSERT_EQ(sys.element_count(), model.elements);
+          std::map<u128, std::vector<DataElement>> stored;
+          sys.for_each_key([&](u128 index, const sfc::Point&,
+                               const std::vector<DataElement>& elements) {
+            stored.emplace(index, elements);
+          });
+          ASSERT_EQ(stored, model.keys) << "round " << round;
+        }
+        // The batches were as hostile as intended.
+        if (cap == 0) {
+          EXPECT_TRUE(saw_in_place);
+        }
+        EXPECT_TRUE(saw_fold);
+        EXPECT_GT(missed_retracts, 0u);
+        EXPECT_GT(invalidated_total, 0u);
+        EXPECT_GT(stayed_valid, 0u);
+
+        if constexpr (obs::kEnabled) {
+          std::map<NodeId, std::pair<std::uint64_t, std::uint64_t>> sampled;
+          for (const obs::EpochSample& epoch : sampler.finish().epochs) {
+            for (const auto& [node, v] : epoch.nodes) {
+              if (v.publishes + v.retracts == 0) continue;
+              sampled[node].first += v.publishes;
+              sampled[node].second += v.retracts;
+            }
+          }
+          EXPECT_EQ(sampled, loads);
+        }
+        sys.set_telemetry(nullptr);
+      }
+    }
+  }
 }
 
 } // namespace

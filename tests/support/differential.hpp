@@ -1,9 +1,9 @@
 // The shared differential harness: the one definition of "same results"
 // that every bit-identicality lock uses. It holds the 9-config engine
 // matrix, the worker counts, the two-letter-space worlds, the random letter
-// query, the brute-force oracle, the span fingerprint and the two result
-// comparers. Suites keep only their own checks (well-formed traces, fault
-// counters, aggregate folds).
+// query, the brute-force oracle, the brute-force store model, the span
+// fingerprint and the two result comparers. Suites keep only their own
+// checks (well-formed traces, fault counters, aggregate folds).
 
 #pragma once
 
@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -220,6 +221,51 @@ inline std::vector<std::string> oracle_names(
     if (space.matches(q, e.keys)) names.push_back(e.name);
   std::sort(names.begin(), names.end());
   return names;
+}
+
+// --- Brute-force store model -------------------------------------------------
+
+/// The store's update contract, applied one op at a time in submit order:
+/// curve index -> the elements stored there, in arrival order. publish
+/// replaces the element of the same name at its key in place, or appends;
+/// retract removes an equal element (name and keys) and reports whether it
+/// found one; a key goes with its last element.
+struct StoreModel {
+  std::map<u128, std::vector<DataElement>> keys;
+  std::size_t elements = 0;
+
+  void publish(u128 index, const DataElement& e) {
+    std::vector<DataElement>& slot = keys[index];
+    for (DataElement& stored : slot) {
+      if (stored.name == e.name) {
+        stored = e;
+        return;
+      }
+    }
+    slot.push_back(e);
+    ++elements;
+  }
+
+  bool retract(u128 index, const DataElement& e) {
+    const auto key = keys.find(index);
+    if (key == keys.end()) return false;
+    std::vector<DataElement>& slot = key->second;
+    const auto found = std::find(slot.begin(), slot.end(), e);
+    if (found == slot.end()) return false;
+    slot.erase(found);
+    --elements;
+    if (slot.empty()) keys.erase(key);
+    return true;
+  }
+};
+
+/// The owner of `index` by a linear scan: the first of the ascending node
+/// ids at or after it, wrapping to the first.
+inline overlay::NodeId brute_owner(const std::vector<overlay::NodeId>& nodes,
+                                   u128 index) {
+  for (const overlay::NodeId id : nodes)
+    if (id >= index) return id;
+  return nodes.front();
 }
 
 // --- Span fingerprint --------------------------------------------------------

@@ -1,10 +1,12 @@
 // TieredStore property suite (DESIGN.md 4j): random mutation interleavings
-// against a std::map oracle, threshold invariance (every delta_cap yields
-// identical reads), order statistics, the neighbour reads the Chord ring
-// routes through, and the structural invariants.
+// and sorted batch writes against a std::map oracle, threshold invariance
+// (every delta_cap yields identical reads), the batch writer's path rule,
+// order statistics, the neighbour reads the Chord ring routes through, and
+// the structural invariants.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
 #include <map>
 #include <set>
@@ -18,7 +20,8 @@ namespace {
 
 /// first_at_or_after / last_before against std::set's lower_bound and its
 /// predecessor, probed at every key, one either side, and both extremes.
-void check_neighbour_reads(const TieredStore<int>& store,
+template <class Payload>
+void check_neighbour_reads(const TieredStore<Payload>& store,
                            const std::set<u128>& oracle) {
   std::vector<u128> probes = {0, 1, ~u128{0} - 1, ~u128{0}};
   for (const u128 key : oracle) {
@@ -46,15 +49,16 @@ void check_neighbour_reads(const TieredStore<int>& store,
 }
 
 /// Every merged-read surface must match the ordered-map oracle exactly.
-void check_against(const TieredStore<int>& store,
-                   const std::map<u128, int>& oracle) {
+template <class Payload>
+void check_against(const TieredStore<Payload>& store,
+                   const std::map<u128, Payload>& oracle) {
   store.check_invariants();
   ASSERT_EQ(store.size(), oracle.size());
   ASSERT_EQ(store.empty(), oracle.empty());
 
   // for_each: same keys, same payloads, ascending.
   auto it = oracle.begin();
-  store.for_each([&](u128 key, const int& payload) {
+  store.for_each([&](u128 key, const Payload& payload) {
     ASSERT_NE(it, oracle.end());
     EXPECT_EQ(key, it->first);
     EXPECT_EQ(payload, it->second);
@@ -74,7 +78,7 @@ void check_against(const TieredStore<int>& store,
 
   // find on every live key, and on probes straddling the key set.
   for (const auto& [key, payload] : oracle) {
-    const int* found = store.find(key);
+    const Payload* found = store.find(key);
     ASSERT_NE(found, nullptr);
     EXPECT_EQ(*found, payload);
   }
@@ -313,6 +317,208 @@ TEST(TieredStore, BulkUpdateRunsOverMergedBase) {
   ASSERT_NE(store.find(100), nullptr);
   EXPECT_EQ(*store.find(100), 42);
   store.check_invariants();
+}
+
+// --- Sorted batch writes -----------------------------------------------------
+
+/// write_sorted's test payload: a list of values. A positive op appends its
+/// value, a negative op removes the first copy of its magnitude, and a slot
+/// left without values is dropped.
+using Slot = std::vector<int>;
+
+struct BatchOp {
+  u128 key;
+  int value;
+};
+
+void apply_op(Slot& slot, int value) {
+  if (value > 0) {
+    slot.push_back(value);
+    return;
+  }
+  const auto it = std::find(slot.begin(), slot.end(), -value);
+  if (it != slot.end()) slot.erase(it);
+}
+
+/// Sort `ops` by key, keeping their order within a key, and write them.
+void write_batch(TieredStore<Slot>& store, std::vector<BatchOp> ops) {
+  std::stable_sort(
+      ops.begin(), ops.end(),
+      [](const BatchOp& a, const BatchOp& b) { return a.key < b.key; });
+  store.write_sorted(
+      ops.size(), [&](std::size_t i) { return ops[i].key; },
+      [&](std::size_t i, Slot& slot) { apply_op(slot, ops[i].value); },
+      [](const Slot& slot) { return !slot.empty(); });
+}
+
+/// The same ops one at a time, in submit order.
+void write_oracle(std::map<u128, Slot>& oracle,
+                  const std::vector<BatchOp>& ops) {
+  for (const BatchOp& op : ops) {
+    Slot& slot = oracle[op.key];
+    apply_op(slot, op.value);
+    if (slot.empty()) oracle.erase(op.key);
+  }
+}
+
+std::vector<BatchOp> random_batch(Rng& rng, std::size_t size, u128 keys) {
+  std::vector<BatchOp> ops;
+  for (std::size_t i = 0; i < size; ++i) {
+    const int value = static_cast<int>(rng.range(1, 4));
+    ops.push_back({rng.below(keys), rng.below(3) == 0 ? -value : value});
+  }
+  return ops;
+}
+
+/// True when write_sorted must take its fold path for `ops`.
+bool expects_fold(const TieredStore<Slot>& store, std::vector<BatchOp> ops) {
+  std::set<u128> distinct;
+  for (const BatchOp& op : ops) distinct.insert(op.key);
+  const std::size_t base =
+      store.size() + store.tombstones() - store.delta_size();
+  return distinct.size() + store.delta_size() + store.tombstones() >=
+         store_merge_threshold(base, store.delta_cap());
+}
+
+TEST(TieredStore, WriteSortedMatchesMapOracleOnBothPaths) {
+  // Small and large batches, between single-key writes that leave delta
+  // entries and tombstones behind: each batch takes the path the merge
+  // rule predicts, folds exactly once or not at all, and reads like the
+  // oracle afterwards.
+  Rng rng(0xba7c);
+  TieredStore<Slot> store; // default sqrt policy: threshold 64 here
+  std::map<u128, Slot> oracle;
+  std::size_t in_place = 0, folds = 0;
+  for (int round = 0; round < 60; ++round) {
+    for (int single = 0; single < 5; ++single) {
+      const u128 key = rng.below(600);
+      if (rng.below(2) == 0) {
+        store.obtain(key).push_back(9);
+        oracle[key].push_back(9);
+      } else {
+        EXPECT_EQ(store.erase(key), oracle.erase(key) > 0);
+      }
+    }
+    const std::size_t size =
+        rng.below(2) == 0 ? rng.range(1, 30) : rng.range(80, 400);
+    const std::vector<BatchOp> ops = random_batch(rng, size, 600);
+    const bool fold = expects_fold(store, ops);
+    const std::uint64_t merges = store.stats().merges;
+    write_batch(store, ops);
+    write_oracle(oracle, ops);
+    EXPECT_EQ(store.stats().merges, merges + (fold ? 1 : 0));
+    if (fold) {
+      EXPECT_EQ(store.delta_size(), 0u);
+      EXPECT_EQ(store.tombstones(), 0u);
+    }
+    (fold ? folds : in_place) += 1;
+    check_against(store, oracle); // runs check_invariants first
+  }
+  EXPECT_GT(in_place, 10u);
+  EXPECT_GT(folds, 10u);
+}
+
+TEST(TieredStore, WriteSortedDropsSlotsABatchEmptiesOrNeverFills) {
+  // One batch empties a base key and a delta key, creates and empties a
+  // new key, and removes from an absent key: none of the four survives, on
+  // either path.
+  for (const std::size_t cap : {std::size_t{1000}, std::size_t{1}}) {
+    SCOPED_TRACE(cap == 1 ? "fold" : "in place");
+    TieredStore<Slot> store(cap);
+    std::map<u128, Slot> oracle;
+    write_oracle(oracle, {{10, 1}, {20, 2}, {30, 3}});
+    for (const auto& [key, slot] : oracle) store.obtain(key) = slot;
+    store.merge(); // 10, 20, 30 in the base
+    store.obtain(40) = {4};
+    oracle[40] = {4};
+    const std::vector<BatchOp> ops = {
+        {20, -2}, {40, -4}, {50, 5}, {50, -5}, {60, -6}, {30, 7}};
+    const std::uint64_t merges = store.stats().merges;
+    write_batch(store, ops);
+    write_oracle(oracle, ops);
+    check_against(store, oracle);
+    EXPECT_EQ(store.size(), 2u);
+    for (const u128 gone : {u128{20}, u128{40}, u128{50}, u128{60}})
+      EXPECT_EQ(store.find(gone), nullptr);
+    if (cap == 1) {
+      EXPECT_EQ(store.stats().merges, merges + 1);
+      EXPECT_EQ(store.tombstones(), 0u);
+    } else {
+      EXPECT_EQ(store.stats().merges, merges);
+      EXPECT_EQ(store.tombstones(), 1u); // 20, emptied in place
+      EXPECT_EQ(store.delta_size(), 0u); // 40 erased, 50 never inserted
+    }
+  }
+}
+
+TEST(TieredStore, WriteSortedResurrectsTombstonesInsideABatch) {
+  // A tombstoned base key that a batch refills comes back with only the
+  // batch's values; in place, it is resurrected where it stood.
+  for (const std::size_t cap : {std::size_t{1000}, std::size_t{1}}) {
+    SCOPED_TRACE(cap == 1 ? "fold" : "in place");
+    TieredStore<Slot> store(cap);
+    for (u128 k = 10; k <= 50; k += 10) store.obtain(k) = {1, 2};
+    store.merge();
+    EXPECT_TRUE(store.erase(30));
+    std::map<u128, Slot> oracle;
+    store.for_each([&](u128 key, const Slot& slot) { oracle[key] = slot; });
+    const std::vector<BatchOp> ops = {{30, 8}, {30, -1}, {30, 9}, {50, -2}};
+    write_batch(store, ops);
+    write_oracle(oracle, ops);
+    check_against(store, oracle);
+    ASSERT_NE(store.find(30), nullptr);
+    EXPECT_EQ(*store.find(30), (Slot{8, 9}));
+    EXPECT_EQ(store.tombstones(), 0u);
+    EXPECT_EQ(store.delta_size(), 0u);
+  }
+}
+
+TEST(TieredStore, WriteSortedFoldsOnceOrNotAtAll) {
+  TieredStore<Slot> store; // threshold max(64, 4*sqrt(K))
+  std::vector<BatchOp> load;
+  for (u128 k = 0; k < 1000; ++k) load.push_back({k * 3, 1});
+  write_batch(store, load); // into an empty store: 1000 keys, one fold
+  EXPECT_EQ(store.stats().merges, 1u);
+  const std::size_t threshold = store_merge_threshold(1000, 0); // 124
+
+  // threshold - 1 distinct keys with nothing pending: in place, no fold.
+  std::vector<BatchOp> under;
+  for (u128 k = 0; k + 1 < threshold; ++k) under.push_back({k * 3 + 1, 2});
+  write_batch(store, under);
+  EXPECT_EQ(store.stats().merges, 1u);
+  EXPECT_EQ(store.delta_size(), threshold - 1);
+
+  // One more distinct key than that reaches the threshold: one fold, which
+  // also takes in the pending delta.
+  std::vector<BatchOp> over;
+  for (u128 k = 0; k < 2; ++k) over.push_back({k * 3 + 2, 3});
+  write_batch(store, over);
+  EXPECT_EQ(store.stats().merges, 2u);
+  EXPECT_EQ(store.delta_size(), 0u);
+  EXPECT_EQ(store.size(), 1000 + threshold - 1 + 2);
+  store.check_invariants();
+}
+
+TEST(TieredStore, WriteSortedReadsIdenticallyAtEveryDeltaCap) {
+  // The same batches under every merge threshold, cap 1 (fold every call)
+  // included, read identically; cap 1 never leaves a delta or tombstones.
+  const std::size_t caps[] = {0, 1, 2, 7, 64};
+  std::vector<TieredStore<Slot>> stores;
+  for (const std::size_t cap : caps) stores.emplace_back(cap);
+  Rng rng(0xde17);
+  std::map<u128, Slot> oracle;
+  for (int round = 0; round < 30; ++round) {
+    const std::vector<BatchOp> ops =
+        random_batch(rng, rng.range(1, 90), 300);
+    write_oracle(oracle, ops);
+    for (auto& store : stores) {
+      write_batch(store, ops);
+      check_against(store, oracle);
+    }
+    EXPECT_EQ(stores[1].delta_size(), 0u);
+    EXPECT_EQ(stores[1].tombstones(), 0u);
+  }
+  EXPECT_EQ(stores[1].stats().merges, 30u);
 }
 
 } // namespace
